@@ -12,7 +12,7 @@ import gc
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement, product
 from math import prod
 
 from . import linalg
@@ -24,7 +24,8 @@ from .loopmod import (ModuleElement, act_e, act_f, act_h, act_word, formal_e,
 from .realization import (TLaurent, apply_sym, classify_hom, elem_sym_values,
                           eval_eta, graded_image_period, psi, theta, theta_inv,
                           tlaurent_monomial)
-from .singular import (Window, build_singular, singular_space,
+from .singular import (Window, _elements_to_rows, build_singular,
+                       signed_permutations, singular_space,
                        theta_divisibility, verify_span_identity,
                        window_monomials)
 from .symlaurent import (SymElement, discriminant, divide_exact, elem_sym,
@@ -273,14 +274,8 @@ def psi_reaches_basis(n, entry_lo=-2, entry_hi=2, word_lo=-6, word_hi=6) -> bool
                 if sum(ks) == d:
                     images.append(psi(n, ks))
         coords = sorted({g for p in images + targets for g in p.terms})
-        idx = {g: i for i, g in enumerate(coords)}
-        def row(p):
-            r = [Fraction(0)] * len(coords)
-            for g, c in p.terms.items():
-                r[idx[g]] = Fraction(c)
-            return r
-        img_rows = [row(p) for p in images]
-        if not linalg.span_contains(img_rows, [row(t) for t in targets]):
+        if not linalg.span_contains(_elements_to_rows(images, coords),
+                                    _elements_to_rows(targets, coords)):
             return False
     return True
 
@@ -384,19 +379,7 @@ def suite_singular() -> list:
                 ok_repeat &= table[chi].is_zero()
         for chi, sv in table.items():
             # compare against every permutation of chi via the table
-            for tau in permutations(range(n)):
-                sign = 1
-                seen = [False] * n
-                for i in range(n):
-                    if seen[i]:
-                        continue
-                    ln, j = 0, i
-                    while not seen[j]:
-                        seen[j] = True
-                        j = tau[j]
-                        ln += 1
-                    if ln % 2 == 0:
-                        sign = -sign
+            for tau, sign in signed_permutations(n):
                 permuted = tuple(chi[tau[i]] for i in range(n))
                 if table[permuted] != sign * sv:
                     ok_antisym = False
@@ -418,7 +401,6 @@ def suite_singular() -> list:
     expect = [make_element([((1, 3), 1), ((2, 2), -1)]),
               make_element([((0, 4), 1), ((1, 3), -1)])]
     monos = window_monomials(w)
-    from .singular import _elements_to_rows
     ok_kernel &= linalg.span_equal(_elements_to_rows(basis, monos),
                                    _elements_to_rows(expect, monos))
     checks.append(Check(

@@ -43,8 +43,11 @@ def _write(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CommandError(f"cannot write {path}: {exc}") from exc
 
 
 def parse_word(text: str):

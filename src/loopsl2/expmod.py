@@ -9,12 +9,12 @@ zero function.
 
 from __future__ import annotations
 
-from bisect import insort
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 
-from .loopmod import ModuleElement, homogeneous_layer
+from .loopmod import ModuleElement, act_e, act_f, act_h, homogeneous_layer
 from .realization import TLaurent, eval_eta, graded_image_period, theta
+from .terms import Terms, add_term
 
 
 class ExpFunction:
@@ -37,9 +37,6 @@ class ExpFunction:
 
     def __eq__(self, other):
         return isinstance(other, ExpFunction) and self.roots == other.roots
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __hash__(self):
         return hash(self.roots)
@@ -149,52 +146,10 @@ def are_isomorphic(phi: ExpFunction, psi: ExpFunction):
 # ---------------------------------------------------------------------------
 
 
-def _add_term(terms, key, coeff):
-    new = terms.get(key, 0) + coeff
-    if new:
-        terms[key] = new
-    elif key in terms:
-        del terms[key]
-
-
-class InducedElement:
+class InducedElement(Terms):
     """Combination of f_{g1}...f_{gn} (x) t^l basis vectors."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = dict(terms) if terms else {}
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, InducedElement) and self.terms == other.terms
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            _add_term(out, key, c)
-        return InducedElement(out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            _add_term(out, key, -c)
-        return InducedElement(out)
-
-    def __neg__(self):
-        return InducedElement({k: -c for k, c in self.terms.items()})
-
-    def __mul__(self, scalar):
-        if not scalar:
-            return InducedElement()
-        return InducedElement({k: c * scalar for k, c in self.terms.items()})
-
-    __rmul__ = __mul__
+    __slots__ = ()
 
     def __repr__(self):
         if not self.terms:
@@ -209,14 +164,8 @@ class InducedElement:
 def make_induced(pairs) -> InducedElement:
     out = {}
     for (exps, l), coeff in pairs:
-        _add_term(out, (tuple(sorted(exps)), l), coeff)
+        add_term(out, (tuple(sorted(exps)), l), coeff)
     return InducedElement(out)
-
-
-def _insorted(m, val):
-    lst = list(m)
-    insort(lst, val)
-    return tuple(lst)
 
 
 def induced_act(phi: ExpFunction, gen, x: InducedElement) -> InducedElement:
@@ -227,30 +176,27 @@ def induced_act(phi: ExpFunction, gen, x: InducedElement) -> InducedElement:
     to the right factor through phi.
     """
     kind, k = gen
+    act = {"f": act_f, "h": act_h, "e": act_e}.get(kind)
+    if act is None:
+        raise ValueError(f"unknown generator kind {kind!r}")
+    by_degree = {}
+    for (m, l), c in x.terms.items():
+        by_degree.setdefault(l, {})[m] = c
     out = {}
-    if kind == "f":
-        for (m, l), c in x.terms.items():
-            _add_term(out, (_insorted(m, k), l), c)
-    elif kind == "h":
-        for (m, l), c in x.terms.items():
-            c2 = -2 * c
-            for i in range(len(m)):
-                _add_term(out, (_insorted(m[:i] + m[i + 1:], m[i] + k), l), c2)
-            cl = phi.value(k)
-            if cl:
-                _add_term(out, (m, l + k), cl * c)
+    for l, terms in by_degree.items():
+        for m, c in act(k, ModuleElement(terms)).terms.items():
+            out[(m, l)] = c
+    if kind == "h":
+        cl = phi.value(k)
+        if cl:
+            for (m, l), c in x.terms.items():
+                add_term(out, (m, l + k), cl * c)
     elif kind == "e":
         for (m, l), c in x.terms.items():
-            c2 = -2 * c
-            for i, j in combinations(range(len(m)), 2):
-                rest = m[:i] + m[i + 1:j] + m[j + 1:]
-                _add_term(out, (_insorted(rest, m[i] + m[j] + k), l), c2)
             for i in range(len(m)):
                 cl = phi.value(m[i] + k)
                 if cl:
-                    _add_term(out, (m[:i] + m[i + 1:], l + m[i] + k), cl * c)
-    else:
-        raise ValueError(f"unknown generator kind {kind!r}")
+                    add_term(out, (m[:i] + m[i + 1:], l + m[i] + k), cl * c)
     return InducedElement(out)
 
 

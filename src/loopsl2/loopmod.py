@@ -13,6 +13,8 @@ from bisect import insort
 from fractions import Fraction
 from itertools import combinations
 
+from .terms import Terms, add_term
+
 Monomial = tuple
 Word = tuple  # of (kind, index) pairs, kind in {"e", "h", "f"}
 
@@ -24,56 +26,14 @@ def monomial(exps) -> Monomial:
     return tuple(sorted(exps))
 
 
-def _add_term(terms: dict, key, coeff) -> None:
-    new = terms.get(key, 0) + coeff
-    if new:
-        terms[key] = new
-    elif key in terms:
-        del terms[key]
-
-
-class ModuleElement:
+class ModuleElement(Terms):
     """Finite rational linear combination of basis monomials.
 
     The term map is canonical: keys are nondecreasing tuples, no stored
     coefficient is zero.  Instances are treated as immutable.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = dict(terms) if terms else {}
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, ModuleElement) and self.terms == other.terms
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            _add_term(out, m, c)
-        return ModuleElement(out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            _add_term(out, m, -c)
-        return ModuleElement(out)
-
-    def __neg__(self):
-        return ModuleElement({m: -c for m, c in self.terms.items()})
-
-    def __mul__(self, scalar):
-        if not scalar:
-            return ModuleElement()
-        return ModuleElement({m: c * scalar for m, c in self.terms.items()})
-
-    __rmul__ = __mul__
+    __slots__ = ()
 
     def __repr__(self):
         if not self.terms:
@@ -89,7 +49,7 @@ def make_element(pairs) -> ModuleElement:
     """Canonicalize a list of (exponent-sequence, coefficient) pairs."""
     out = {}
     for exps, coeff in pairs:
-        _add_term(out, monomial(exps), coeff)
+        add_term(out, monomial(exps), coeff)
     return ModuleElement(out)
 
 
@@ -317,7 +277,7 @@ def _project_normal(state: dict) -> dict:
     for w, c in state.items():
         mono = _monomial_of(w)
         if mono is not None:
-            _add_term(out, mono, c)
+            add_term(out, mono, c)
     return out
 
 
@@ -336,14 +296,10 @@ def pbw_oracle(word, x: ModuleElement, max_letters: int = DEFAULT_ORACLE_BOUND) 
             nxt = {}
             for w, cw in state.items():
                 for w2, c2 in _push(letter, w).items():
-                    new = nxt.get(w2, 0) + cw * c2
-                    if new:
-                        nxt[w2] = new
-                    elif w2 in nxt:
-                        del nxt[w2]
+                    add_term(nxt, w2, cw * c2)
             state = nxt
         for mono, c in _project_normal(state).items():
-            _add_term(out, mono, c)
+            add_term(out, mono, c)
     return ModuleElement(out)
 
 
@@ -362,28 +318,16 @@ def pbw_oracle(word, x: ModuleElement, max_letters: int = DEFAULT_ORACLE_BOUND) 
 # ---------------------------------------------------------------------------
 
 
-class FormalEElement:
+class FormalEElement(Terms):
     """Certificate terms keyed by (reduced monomial, formal exponent base)."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = dict(terms) if terms else {}
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, FormalEElement) and self.terms == other.terms
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
+    __slots__ = ()
 
     def specialize(self, k: int) -> ModuleElement:
         """The element act_e(k, x) encoded by this certificate."""
         out = {}
         for (mu, s), c in self.terms.items():
-            _add_term(out, _insorted(mu, s + k), c)
+            add_term(out, _insorted(mu, s + k), c)
         return ModuleElement(out)
 
     def __repr__(self):
@@ -409,7 +353,7 @@ def formal_e(x: ModuleElement) -> FormalEElement:
         c2 = -2 * c
         for i, j in combinations(range(n), 2):
             rest = m[:i] + m[i + 1:j] + m[j + 1:]
-            _add_term(out, (rest, m[i] + m[j]), c2)
+            add_term(out, (rest, m[i] + m[j]), c2)
     return FormalEElement(out)
 
 

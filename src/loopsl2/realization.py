@@ -7,70 +7,30 @@ Laurent polynomials, and the classification of one-dimensional quotients.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
 from math import factorial, gcd, prod
 
 from .loopmod import ModuleElement, homogeneous_layer, make_element
-from .symlaurent import SymElement, power_sum, sym_mul, sym_one
+from .symlaurent import SymElement, orbit, power_sum, sym_mul, sym_one
+from .terms import Terms, add_term
 
 
 class RequiresExtensionError(ValueError):
     """The data forces scalars outside the rationals; exact handling stops here."""
 
 
-def _add_term(terms, key, coeff):
-    new = terms.get(key, 0) + coeff
-    if new:
-        terms[key] = new
-    elif key in terms:
-        del terms[key]
-
-
-class TLaurent:
+class TLaurent(Terms):
     """Laurent polynomial in a single variable t, exact coefficients."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = dict(terms) if terms else {}
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, TLaurent) and self.terms == other.terms
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            _add_term(out, k, c)
-        return TLaurent(out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            _add_term(out, k, -c)
-        return TLaurent(out)
+    __slots__ = ()
 
     def __mul__(self, other):
         if isinstance(other, TLaurent):
             out = {}
             for k, c in self.terms.items():
                 for l, d in other.terms.items():
-                    _add_term(out, k + l, c * d)
+                    add_term(out, k + l, c * d)
             return TLaurent(out)
-        if not other:
-            return TLaurent()
-        return TLaurent({k: c * other for k, c in self.terms.items()})
-
-    def __rmul__(self, scalar):
-        return self.__mul__(scalar)
-
-    def __neg__(self):
-        return TLaurent({k: -c for k, c in self.terms.items()})
+        return super().__mul__(other)
 
     def __repr__(self):
         if not self.terms:
@@ -111,22 +71,17 @@ def apply_sym(p: SymElement, x: ModuleElement) -> ModuleElement:
     """Module action of a symmetric function on a layer-matched element.
 
     m_gamma . f_chi v = (1/n!) sum over permutations s of
-    f_{chi_1 + gamma_s(1)} ... f_{chi_n + gamma_s(n)} v.
+    f_{chi_1 + gamma_s(1)} ... f_{chi_n + gamma_s(n)} v,
+
+    which is the product p * theta(x) carried back through the layer
+    realization.
     """
     if x.is_zero():
         return ModuleElement()
     n = homogeneous_layer(x)
     if n != p.n:
         raise ValueError(f"layer {n} does not match {p.n} variables")
-    inv = Fraction(1, factorial(n))
-    out = {}
-    for chi, cx in x.terms.items():
-        for g, cp in p.terms.items():
-            c = cx * cp * inv
-            for perm in permutations(g):
-                mono = tuple(sorted(chi[i] + perm[i] for i in range(n)))
-                _add_term(out, mono, c)
-    return ModuleElement(out)
+    return theta_inv(sym_mul(theta(x), p))
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +100,10 @@ def eval_eta(alphas, p: SymElement) -> TLaurent:
     inv = Fraction(1, factorial(n))
     out = {}
     for g, c in p.terms.items():
-        total = sum(prod(alphas[i] ** perm[i] for i in range(n))
-                    for perm in permutations(g))
-        _add_term(out, sum(g), c * inv * total)
+        perms, count = orbit(g)
+        total = count * sum(prod(alphas[i] ** perm[i] for i in range(n))
+                            for perm in perms)
+        add_term(out, sum(g), c * inv * total)
     return TLaurent(out)
 
 

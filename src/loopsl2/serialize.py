@@ -7,7 +7,8 @@ Formats (all deterministic: terms sorted, coefficients in lowest terms):
     t-polynomial     {"terms": [{"k": int, "coeff": "p/q"}, ...]}
     exp function     {"roots": ["p/q", ...]}
 
-Integral coefficients are written without the denominator.
+Integral coefficients are written without the denominator.  Integer
+fields accept JSON integers only: true and false are rejected.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .expmod import ExpFunction
 from .loopmod import ModuleElement, make_element
 from .realization import TLaurent
 from .symlaurent import SymElement, make_sym
+from .terms import add_term
 
 
 def format_coeff(c) -> str:
@@ -39,6 +41,9 @@ def _dump(obj) -> str:
 def _term_list(data):
     if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
         raise ValueError("expected an object with a 'terms' list")
+    for t in data["terms"]:
+        if not isinstance(t, dict):
+            raise ValueError(f"term entry {t!r} is not an object")
     return data["terms"]
 
 
@@ -53,7 +58,7 @@ def loads_element(text: str) -> ModuleElement:
     pairs = []
     for t in _term_list(data):
         exps = t.get("exps")
-        if not isinstance(exps, list) or not all(isinstance(e, int) for e in exps):
+        if not isinstance(exps, list) or not all(type(e) is int for e in exps):
             raise ValueError(f"bad exponent list {exps!r}")
         pairs.append((tuple(exps), parse_coeff(t.get("coeff"))))
     return make_element(pairs)
@@ -68,13 +73,13 @@ def dumps_sym(p: SymElement) -> str:
 def loads_sym(text: str) -> SymElement:
     data = json.loads(text)
     n = data.get("n") if isinstance(data, dict) else None
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError(f"bad variable count {n!r}")
     pairs = []
     for t in _term_list(data):
         gamma = t.get("gamma")
         if not isinstance(gamma, list) or len(gamma) != n \
-                or not all(isinstance(g, int) for g in gamma):
+                or not all(type(g) is int for g in gamma):
             raise ValueError(f"bad index {gamma!r}")
         pairs.append((tuple(gamma), parse_coeff(t.get("coeff"))))
     return make_sym(n, pairs)
@@ -90,12 +95,10 @@ def loads_tlaurent(text: str) -> TLaurent:
     terms = {}
     for t in _term_list(data):
         k = t.get("k")
-        if not isinstance(k, int):
+        if type(k) is not int:
             raise ValueError(f"bad degree {k!r}")
-        c = parse_coeff(t.get("coeff"))
-        if c:
-            terms[k] = terms.get(k, 0) + c
-    return TLaurent({k: c for k, c in terms.items() if c})
+        add_term(terms, k, parse_coeff(t.get("coeff")))
+    return TLaurent(terms)
 
 
 def dumps_expfunction(phi: ExpFunction) -> str:

@@ -18,29 +18,18 @@ from .loopmod import (ModuleElement, formal_e, is_singular, make_element,
 from .realization import apply_sym, theta
 from .symlaurent import SymElement, discriminant, divide_exact, lambda_poly, sym_mul
 
-_PARITY_CACHE = {}
+def signed_permutations(n: int):
+    """Each permutation of range(n), in lexicographic order, with its sign.
 
-
-def _sign(perm) -> int:
-    key = tuple(perm)
-    hit = _PARITY_CACHE.get(key)
-    if hit is not None:
-        return hit
-    seen = [False] * len(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    _PARITY_CACHE[key] = sign
-    return sign
+    In that order the first entry i of a permutation makes i inversions and
+    the rest run through the permutations of the remaining entries in
+    lexicographic order again, so the signs follow without inspecting the
+    permutations themselves.
+    """
+    signs = [1]
+    for m in range(2, n + 1):
+        signs = [-s if i % 2 else s for i in range(m) for s in signs]
+    return zip(permutations(range(n)), signs)
 
 
 def build_singular(chi) -> ModuleElement:
@@ -53,10 +42,8 @@ def build_singular(chi) -> ModuleElement:
     n = len(chi)
     if n < 1:
         raise ValueError("need at least one entry")
-    pairs = []
-    for perm in permutations(range(n)):
-        pairs.append((monomial(chi[i] + perm[i] + 1 for i in range(n)), _sign(perm)))
-    return make_element(pairs)
+    return make_element((monomial(chi[i] + perm[i] + 1 for i in range(n)), sign)
+                        for perm, sign in signed_permutations(n))
 
 
 def verify_span_identity(chi) -> bool:
@@ -66,9 +53,9 @@ def verify_span_identity(chi) -> bool:
     n = len(chi)
     lhs = apply_sym(lambda_poly(n), make_element([(chi, 1)]))
     rhs = ModuleElement()
-    for perm in permutations(range(n)):
+    for perm, sign in signed_permutations(n):
         shifted = tuple(chi[i] + perm[i] + 1 for i in range(n))
-        rhs = rhs + _sign(perm) * build_singular(shifted)
+        rhs = rhs + sign * build_singular(shifted)
     return lhs == rhs
 
 

@@ -12,10 +12,13 @@ expansion kept alongside as an oracle.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import comb, factorial
+
+from .terms import Terms, add_term
 
 
 class NotSymmetricError(ValueError):
@@ -30,14 +33,6 @@ class NotDivisibleError(ArithmeticError):
     pass
 
 
-def _add_term(terms: dict, key, coeff) -> None:
-    new = terms.get(key, 0) + coeff
-    if new:
-        terms[key] = new
-    elif key in terms:
-        del terms[key]
-
-
 def sym_index(n: int, gamma) -> tuple:
     """Canonical (nonincreasing) basis index."""
     idx = tuple(sorted(gamma, reverse=True))
@@ -46,50 +41,19 @@ def sym_index(n: int, gamma) -> tuple:
     return idx
 
 
-class SymElement:
+class SymElement(Terms):
     """Rational combination of m_gamma basis elements in a fixed number of variables."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n",)
 
     def __init__(self, n: int, terms=None):
         if n < 1:
             raise ValueError("number of variables must be positive")
         self.n = n
-        self.terms = dict(terms) if terms else {}
+        super().__init__(terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return (isinstance(other, SymElement)
-                and self.n == other.n and self.terms == other.terms)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for g, c in other.terms.items():
-            _add_term(out, g, c)
-        return SymElement(self.n, out)
-
-    def __sub__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for g, c in other.terms.items():
-            _add_term(out, g, -c)
-        return SymElement(self.n, out)
-
-    def __neg__(self):
-        return SymElement(self.n, {g: -c for g, c in self.terms.items()})
-
-    def __mul__(self, scalar):
-        if not scalar:
-            return SymElement(self.n)
-        return SymElement(self.n, {g: c * scalar for g, c in self.terms.items()})
-
-    __rmul__ = __mul__
+    def _like(self, terms=None):
+        return type(self)(self.n, terms)
 
     def _check(self, other):
         if self.n != other.n:
@@ -105,7 +69,7 @@ class SymElement:
 def make_sym(n: int, pairs) -> SymElement:
     out = {}
     for gamma, coeff in pairs:
-        _add_term(out, sym_index(n, gamma), coeff)
+        add_term(out, sym_index(n, gamma), coeff)
     return SymElement(n, out)
 
 
@@ -113,12 +77,19 @@ def sym_one(n: int) -> SymElement:
     return SymElement(n, {(0,) * n: 1})
 
 
-def degree_of(a: SymElement) -> int:
-    """Total degree of a degree-homogeneous nonzero element."""
-    degs = {sum(g) for g in a.terms}
-    if len(degs) != 1:
-        raise ValueError(f"not degree-homogeneous: degrees {sorted(degs)}")
-    return degs.pop()
+def orbit(g) -> tuple:
+    """The distinct rearrangements of g and the number of permutations giving each.
+
+    That number is the same for every rearrangement: the product of the
+    factorials of the multiplicities of g's entries.  Rearrangements are
+    listed in order of first appearance among the permutations of g.
+    """
+    g = tuple(g)
+    count = 1
+    for c in Counter(g).values():
+        count *= factorial(c)
+    perms = permutations(g)
+    return list(perms if count == 1 else dict.fromkeys(perms)), count
 
 
 def sym_mul(a: SymElement, b: SymElement) -> SymElement:
@@ -126,13 +97,17 @@ def sym_mul(a: SymElement, b: SymElement) -> SymElement:
     a._check(b)
     n = a.n
     inv = Fraction(1, factorial(n))
+    orbits = []
+    for x, cb in b.terms.items():
+        perms, count = orbit(x)
+        orbits.append((perms, cb * count * inv))
     out = {}
     for g, ca in a.terms.items():
-        for x, cb in b.terms.items():
-            c = ca * cb * inv
-            for perm in permutations(x):
+        for perms, cb in orbits:
+            c = ca * cb
+            for perm in perms:
                 idx = tuple(sorted((g[i] + perm[i] for i in range(n)), reverse=True))
-                _add_term(out, idx, c)
+                add_term(out, idx, c)
     return SymElement(n, out)
 
 
@@ -153,43 +128,17 @@ def elem_sym(n: int, i: int) -> SymElement:
 # ---------------------------------------------------------------------------
 
 
-class LaurentElement:
+class LaurentElement(Terms):
     """Sparse Laurent polynomial keyed by full exponent vectors."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n",)
 
     def __init__(self, n: int, terms=None):
         self.n = n
-        self.terms = dict(terms) if terms else {}
+        super().__init__(terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return (isinstance(other, LaurentElement)
-                and self.n == other.n and self.terms == other.terms)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for v, c in other.terms.items():
-            _add_term(out, v, c)
-        return LaurentElement(self.n, out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for v, c in other.terms.items():
-            _add_term(out, v, -c)
-        return LaurentElement(self.n, out)
-
-    def __mul__(self, scalar):
-        if not scalar:
-            return LaurentElement(self.n)
-        return LaurentElement(self.n, {v: c * scalar for v, c in self.terms.items()})
-
-    __rmul__ = __mul__
+    _like = SymElement._like
+    _check = SymElement._check
 
     def __repr__(self):
         if not self.terms:
@@ -202,12 +151,11 @@ def laurent_monomial(n: int, vec, coeff=1) -> LaurentElement:
 
 
 def laurent_mul(a: LaurentElement, b: LaurentElement) -> LaurentElement:
-    if a.n != b.n:
-        raise ValueError("variable count mismatch")
+    a._check(b)
     out = {}
     for u, cu in a.terms.items():
         for v, cv in b.terms.items():
-            _add_term(out, tuple(u[i] + v[i] for i in range(a.n)), cu * cv)
+            add_term(out, tuple(u[i] + v[i] for i in range(a.n)), cu * cv)
     return LaurentElement(a.n, out)
 
 
@@ -218,7 +166,7 @@ def laurent_substitute_equal(p: LaurentElement, i: int, j: int) -> LaurentElemen
         w = list(v)
         w[j] += w[i]
         w[i] = 0
-        _add_term(out, tuple(w), c)
+        add_term(out, tuple(w), c)
     return LaurentElement(p.n, out)
 
 
@@ -227,9 +175,10 @@ def expand(a: SymElement) -> LaurentElement:
     inv = Fraction(1, factorial(a.n))
     out = {}
     for g, c in a.terms.items():
-        ci = c * inv
-        for perm in permutations(g):
-            _add_term(out, perm, ci)
+        perms, count = orbit(g)
+        ci = c * count * inv
+        for perm in perms:
+            add_term(out, perm, ci)
     return LaurentElement(a.n, out)
 
 
@@ -243,13 +192,13 @@ def symmetrize(p: LaurentElement) -> SymElement:
         if rep in seen:
             continue
         seen.add(rep)
-        orbit = set(permutations(rep))
+        perms, _ = orbit(rep)
         coeff = p.terms.get(rep, p.terms[v])
         base = rep if rep in p.terms else v
-        for u in orbit:
+        for u in perms:
             if p.terms.get(u, 0) != coeff:
                 raise NotSymmetricError((base, u))
-        _add_term(out, rep, coeff * len(orbit))
+        add_term(out, rep, coeff * len(perms))
     return SymElement(n, out)
 
 
@@ -301,7 +250,7 @@ def _poly_divide(A: dict, B: dict, n: int) -> dict:
         c = Fraction(rem[lead]) / Fraction(cb)
         quo[diff] = quo.get(diff, 0) + c
         for v, cv in B.items():
-            _add_term(rem, tuple(v[i] + diff[i] for i in range(n)), -c * cv)
+            add_term(rem, tuple(v[i] + diff[i] for i in range(n)), -c * cv)
     return quo
 
 

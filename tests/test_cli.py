@@ -60,6 +60,14 @@ class TestActCommand:
         assert code == 2
         assert "error" in err
 
+    def test_non_object_term_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "el.json"
+        src.write_text('{"terms": [1]}')
+        for command in (("act", "--word", "f:1"), ("theta",)):
+            code, _, err = run(capsys, *command, "--in", str(src))
+            assert code == 2
+            assert "error" in err
+
     def test_malformed_word_exits_2(self, tmp_path, capsys):
         src = tmp_path / "el.json"
         src.write_text(ser.dumps_element(make_element([((), 1)])))
@@ -73,6 +81,14 @@ class TestActCommand:
                          "--out", str(dst))
         assert code == 0
         assert ser.loads_element(dst.read_text()) == make_element([((2,), 1)])
+
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        src, dst = tmp_path / "el.json", tmp_path / "missing" / "x.json"
+        src.write_text(ser.dumps_element(make_element([((), 1)])))
+        code, _, err = run(capsys, "act", "--in", str(src), "--word", "f:2",
+                           "--out", str(dst))
+        assert code == 2
+        assert "cannot write" in err
 
 
 class TestThetaCommand:

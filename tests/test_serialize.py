@@ -37,7 +37,10 @@ class TestModuleElementJson:
                     '{"terms": [{"exps": [1], "coeff": "x"}]}',
                     '{"terms": [{"exps": [1.5], "coeff": "1"}]}',
                     '{"nope": 1}',
-                    '[]'):
+                    '[]',
+                    '{"terms": [1]}',
+                    '{"terms": [[1, "1"]]}',
+                    '{"terms": [{"exps": [true, 2], "coeff": "1"}]}'):
             with pytest.raises(ValueError):
                 ser.loads_element(bad)
 
@@ -66,6 +69,11 @@ class TestSymJson:
             ser.loads_sym('{"n": 2, "terms": [{"gamma": [1], "coeff": "1"}]}')
         with pytest.raises(ValueError):
             ser.loads_sym('{"n": 0, "terms": []}')
+        for bad in ('{"n": true, "terms": [{"gamma": [1], "coeff": "1"}]}',
+                    '{"n": 2, "terms": [{"gamma": [1, false], "coeff": "1"}]}',
+                    '{"n": 2, "terms": ["m"]}'):
+            with pytest.raises(ValueError):
+                ser.loads_sym(bad)
 
 
 class TestTLaurentJson:
@@ -76,6 +84,12 @@ class TestTLaurentJson:
     def test_format(self):
         data = json.loads(ser.dumps_tlaurent(TLaurent({1: Fraction(3, 4)})))
         assert data == {"terms": [{"k": 1, "coeff": "3/4"}]}
+
+    def test_malformed_rejected(self):
+        for bad in ('{"terms": [{"k": true, "coeff": "1"}]}',
+                    '{"terms": [null]}'):
+            with pytest.raises(ValueError):
+                ser.loads_tlaurent(bad)
 
 
 class TestExpFunctionJson:
