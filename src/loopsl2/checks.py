@@ -8,7 +8,6 @@ attributable.
 
 from __future__ import annotations
 
-import gc
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -16,22 +15,19 @@ from itertools import combinations_with_replacement, product
 from math import prod
 
 from . import linalg
-from . import loopmod as lm
-from .expmod import (ExpFunction, InducedElement, image_period, induced_act,
-                     make_induced, polymod_act_h, quotient_map, top_layer)
-from .loopmod import (ModuleElement, act_e, act_f, act_h, act_word, formal_e,
-                      is_singular, layer_decompose, make_element, witness_index)
-from .realization import (TLaurent, apply_sym, classify_hom, elem_sym_values,
-                          eval_eta, graded_image_period, psi, theta, theta_inv,
+from .expmod import (ExpFunction, image_period, induced_act, make_induced,
+                     polymod_act_h, quotient_map, top_layer)
+from .loopmod import (OracleTables, act_e, act_f, act_h, act_word, formal_e,
+                      is_singular, layer_decompose, make_element,
+                      witness_index)
+from .realization import (apply_sym, classify_hom, elem_sym_values, eval_eta,
+                          graded_image_period, psi, theta, theta_inv,
                           tlaurent_monomial)
-from .singular import (Window, _elements_to_rows, build_singular,
+from .singular import (Window, build_singular, elements_to_rows,
                        signed_permutations, singular_space,
                        theta_divisibility, verify_span_identity,
                        window_monomials)
-from .symlaurent import (SymElement, discriminant, divide_exact, elem_sym,
-                         expand, lambda_poly, laurent_mul,
-                         laurent_substitute_equal, make_sym, power_sum,
-                         sym_mul, sym_one, symmetrize)
+from .symlaurent import discriminant, divide_exact, make_sym, sym_mul
 
 SUITE_NAMES = ("actions", "realization", "singular", "span", "expmod")
 
@@ -87,91 +83,49 @@ def oracle_equivalence_failures(max_word_len=4, idx_lo=-2, idx_hi=2,
     """Compare the closed action formulas with normal-ordering on every word
     up to the given length over every basis monomial in the window.
 
-    Word states are shared along suffixes on both routes, and extensions to
-    final-length words only materialize the part of the normal ordering
-    that survives on the generator; neither changes what is checked.
+    Both routes run on one ``OracleTables`` made for the call and dropped on
+    return; it interns normal words and monomials as ints and keys the
+    images of the whole basis by (monomial, basis index) in one map, so a
+    word is compared on every basis monomial at once.  A walk over the word
+    tree shares each word's state along its left extensions.  On the
+    normal-ordering route the state is the normal-ordered word: the new
+    letter is pushed onto it through memoized push rows, and the result is
+    attached to the basis through one memoized attach row per normal word.
+    On the closed route the state is the images of the basis: the letter's
+    closed formula is applied by merging one memoized row per (letter,
+    monomial).  Attach rows drop every word holding an h or e letter as
+    soon as it appears: such a letter never leaves a word under pushes from
+    the left (see loopmod), so the word is zero on the generator.  None of
+    this changes what is compared.
     """
-    letters = [((lm._RANK[kind], k), (kind, k), lm._ACT_TERMS[kind])
-               for kind in ("e", "h", "f") for k in range(idx_lo, idx_hi + 1)]
+    letters = [(kind, k) for kind in ("e", "h", "f") for k in range(idx_lo, idx_hi + 1)]
     basis = [m for layer in range(max_layer + 1)
              for m in combinations_with_replacement(range(exp_lo, exp_hi + 1), layer)]
-    failures = []
-    push, attach = lm._push, lm._attach_pure
-    push_cache = lm._PUSH_CACHE
-    enum_basis = list(enumerate(basis))
-    nbasis = len(basis)
-    for mono in basis:                                      # the empty word
-        if attach((), mono) != {mono: 1}:
-            failures.append(((), mono))
-
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _oracle_walk(max_word_len, letters, basis, enum_basis, nbasis,
-                            push, attach, push_cache, failures, limit)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    return _oracle_walk(OracleTables(basis), letters, basis, max_word_len, limit)
 
 
-def _oracle_walk(max_word_len, letters, basis, enum_basis, nbasis,
-                 push, attach, push_cache, failures, limit):
+def _mismatches(tables, basis, word, proj, images) -> list:
+    return [(word, mono) for mono, p, a in
+            zip(basis, tables.split(proj), tables.split(images)) if p != a]
 
-    # per normal word, the nonempty attachments across the whole basis
-    attach_rows: dict = {}
 
-    def attach_row(w):
-        row = [(idx, list(attach(w, mono).items()))
-               for idx, mono in enum_basis if attach(w, mono)]
-        attach_rows[w] = row
-        return row
-
-    # one walk over the word tree; the normal-ordered word state is shared
-    # across all basis monomials and attached to each at comparison time
-    stack = [((), tuple({m: 1} for m in basis), {(): 1}, 0)]
+def _oracle_walk(tables, letters, basis, max_word_len, limit):
+    unit, identity = {tables.intern(()): 1}, tables.identity()
+    failures = _mismatches(tables, basis, (), tables.attach(unit), identity)
+    stack = [((), identity, unit, 0)]
     while stack:
-        word, act_list, state, depth = stack.pop()
-        for letter, pub, act_fn in letters:
-            nxt = {}
-            nxt_get = nxt.get
-            for w, cw in state.items():
-                res = push_cache.get((letter, w))
-                if res is None:
-                    res = push(letter, w)
-                for w2, c2 in res.items():
-                    new = nxt_get(w2, 0) + cw * c2
-                    if new:
-                        nxt[w2] = new
-                    elif w2 in nxt:
-                        del nxt[w2]
-            new_word = (pub,) + word
-            projs = [None] * nbasis
-            for w, cw in nxt.items():
-                row = attach_rows.get(w)
-                if row is None:
-                    row = attach_row(w)
-                for idx, pairs in row:
-                    proj = projs[idx]
-                    if proj is None:
-                        proj = projs[idx] = {}
-                    proj_get = proj.get
-                    for m2, c2 in pairs:
-                        new = proj_get(m2, 0) + cw * c2
-                        if new:
-                            proj[m2] = new
-                        elif m2 in proj:
-                            del proj[m2]
-            k = pub[1]
-            new_acts = []
-            for idx, mono in enum_basis:
-                new_act = act_fn(k, act_list[idx])
-                new_acts.append(new_act)
-                if (projs[idx] or {}) != new_act:
-                    failures.append((new_word, mono))
-                    if len(failures) >= limit:
-                        return failures
+        word, images, state, depth = stack.pop()
+        for letter in letters:
+            new_word = (letter,) + word
+            nxt = tables.push(*letter, state)
+            new_images = tables.act(*letter, images)
+            proj = tables.attach(nxt)
+            if proj != new_images:
+                failures += _mismatches(tables, basis, new_word, proj, new_images)
+                if len(failures) >= limit:
+                    return failures[:limit]
             if depth + 1 < max_word_len:
-                stack.append((new_word, tuple(new_acts), nxt, depth + 1))
+                stack.append((new_word, new_images, nxt, depth + 1))
     return failures
 
 
@@ -274,8 +228,8 @@ def psi_reaches_basis(n, entry_lo=-2, entry_hi=2, word_lo=-6, word_hi=6) -> bool
                 if sum(ks) == d:
                     images.append(psi(n, ks))
         coords = sorted({g for p in images + targets for g in p.terms})
-        if not linalg.span_contains(_elements_to_rows(images, coords),
-                                    _elements_to_rows(targets, coords)):
+        if not linalg.span_contains(elements_to_rows(images, coords),
+                                    elements_to_rows(targets, coords)):
             return False
     return True
 
@@ -401,8 +355,8 @@ def suite_singular() -> list:
     expect = [make_element([((1, 3), 1), ((2, 2), -1)]),
               make_element([((0, 4), 1), ((1, 3), -1)])]
     monos = window_monomials(w)
-    ok_kernel &= linalg.span_equal(_elements_to_rows(basis, monos),
-                                   _elements_to_rows(expect, monos))
+    ok_kernel &= linalg.span_equal(elements_to_rows(basis, monos),
+                                   elements_to_rows(expect, monos))
     checks.append(Check(
         "window-kernel-example",
         "the n=2, degree-4 window over [0,4] has exactly the two expected "

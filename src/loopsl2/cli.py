@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import sys
-from fractions import Fraction
 
 from . import checks, serialize
 from .expmod import ExpFunction, component_dim
@@ -74,8 +73,9 @@ def _parse_ints(text: str, what: str):
 
 def _parse_fractions(text: str, what: str):
     try:
-        return tuple(Fraction(tok.strip()) for tok in text.split(",") if tok.strip() != "")
-    except (ValueError, ZeroDivisionError) as exc:
+        return tuple(serialize.parse_coeff(tok.strip())
+                     for tok in text.split(",") if tok.strip() != "")
+    except ValueError as exc:
         raise CommandError(f"bad {what} {text!r}") from exc
 
 

@@ -10,7 +10,6 @@ coefficients are exact rationals (plain ints are accepted and preserved).
 from __future__ import annotations
 
 from bisect import insort
-from fractions import Fraction
 from itertools import combinations
 
 from .terms import Terms, add_term
@@ -177,6 +176,13 @@ def act_word(word, x: ModuleElement) -> ModuleElement:
 # together with commutativity inside each of the three current families,
 # and finally E.v = H.v = 0.  No use is made of the closed action formulas
 # above, so agreement of the two routes is a genuine cross-check.
+#
+# Dead words.  Pushing a letter onto a normal word consumes a letter of the
+# word only through a bracket, where the pushed letter has the higher rank:
+# an e letter is never consumed, and an h letter only by an arriving e,
+# into an e.  So a word holding an h or e letter keeps one under every
+# later push from the left and evaluates to zero on the generator.  Folds
+# onto f_mono.v therefore drop such words after every push.
 # ---------------------------------------------------------------------------
 
 _RANK = {"f": 0, "h": 1, "e": 2}
@@ -187,119 +193,190 @@ _BRACKET = {
     (2, 1): (-2, 2),   # [e_k, h_l] = -2 e_{k+l}
 }
 
-_PUSH_CACHE: dict = {}
+
+class OracleTables:
+    """Interned normal words and the rows built on them, for one oracle call.
+
+    A normal word is named by its index in ``words``, and a monomial by the
+    index of its lowering word f_mono.  Images of the whole basis are kept
+    in one map keyed by pair id ``m * nb + i``: monomial m in the image of
+    basis monomial i, with nb the basis size.  Rows are built on first use,
+    once, and freed with the object:
+
+    - push rows ``(letter, word) -> [(word, c)]``: the letter pushed onto
+      the word, normal ordered (``_push``);
+    - attach rows ``word -> [(pair, c)]``: the surviving terms of
+      word . f_mono . v for every basis monomial (``_attach_pure``);
+    - closed rows ``(kind, k, mono) -> [(mono * nb, c)]``: the closed
+      action formula of the letter on the monomial (``_ACT_TERMS``).
+    """
+
+    __slots__ = ("words", "ids", "live", "push_rows", "attach_rows",
+                 "closed_rows", "basis", "nb")
+
+    def __init__(self, basis=()):
+        self.words = []         # id -> normal word
+        self.ids = {}           # normal word -> id
+        self.live = []          # id -> True when the word has only f letters
+        self.push_rows = {}     # (rank, index) letter -> {word id: row}
+        self.attach_rows = {}   # word id -> row
+        self.closed_rows = {}   # (kind, index) letter -> {mono id: row}
+        self.basis = [self.mono_id(m) for m in basis]
+        self.nb = len(self.basis)
+
+    def intern(self, word) -> int:
+        wid = self.ids.get(word)
+        if wid is None:
+            wid = self.ids[word] = len(self.words)
+            self.words.append(word)
+            self.live.append(not word or word[-1][0] == 0)
+        return wid
+
+    def mono_id(self, mono: Monomial) -> int:
+        return self.intern(tuple((0, g) for g in mono))
+
+    def monomial(self, mid: int) -> Monomial:
+        return tuple(g for _, g in self.words[mid])
+
+    def _letter_rows(self, letter) -> dict:
+        return self.push_rows.setdefault(letter, {})
+
+    def push(self, kind: str, k: int, state: dict) -> dict:
+        """Normal ordering of (kind, k) . state for a state {word id: c}."""
+        letter = (_RANK[kind], k)
+        return _combine(self._letter_rows(letter),
+                        lambda w: _push(self, letter, w), state)
+
+    def attach(self, state: dict) -> dict:
+        """Surviving terms of state . f_mono . v for every basis monomial,
+        keyed by pair id."""
+        return _combine(self.attach_rows, lambda w: _attach_pure(self, w), state)
+
+    def act(self, kind: str, k: int, images: dict) -> dict:
+        """Closed action of (kind, k) on images keyed by pair id, merged from
+        one closed row per monomial."""
+        rows = self.closed_rows.setdefault((kind, k), {})
+        act_terms, nb = _ACT_TERMS[kind], self.nb
+        out = {}
+        get = out.get
+        for p, c in images.items():
+            m, i = divmod(p, nb)
+            row = rows.get(m)
+            if row is None:
+                terms = act_terms(k, {self.monomial(m): 1})
+                row = rows[m] = [(self.mono_id(m2) * nb, c2) for m2, c2 in terms.items()]
+            for q, c2 in row:
+                q += i
+                new = get(q, 0) + c * c2
+                if new:
+                    out[q] = new
+                elif q in out:
+                    del out[q]
+        return out
+
+    def identity(self) -> dict:
+        """The basis itself, keyed by pair id."""
+        return {m * self.nb + i: 1 for i, m in enumerate(self.basis)}
+
+    def split(self, images: dict) -> list:
+        """Images keyed by pair id as one map {mono id: c} per basis monomial."""
+        out = [{} for _ in self.basis]
+        for p, c in images.items():
+            m, i = divmod(p, self.nb)
+            out[i][m] = c
+        return out
 
 
-def _push(letter, nword):
-    """Normal order letter . nword for an already normal nword."""
-    key = (letter, nword)
-    hit = _PUSH_CACHE.get(key)
-    if hit is not None:
-        return hit
+def _combine(rows: dict, build, state: dict) -> dict:
+    """Sum of c * rows[w] over the state {w: c}; build(w) makes a missing
+    row and stores it in rows."""
+    out = {}
+    get = out.get
+    for w, c in state.items():
+        row = rows.get(w)
+        if row is None:
+            row = build(w)
+        for w2, c2 in row:
+            new = get(w2, 0) + c * c2
+            if new:
+                out[w2] = new
+            elif w2 in out:
+                del out[w2]
+    return out
+
+
+def _push(tables: OracleTables, letter, wid: int) -> list:
+    """Normal order letter . word for the normal word with id wid, as a row
+    [(word id, c)]; stored in the tables."""
+    rows = tables._letter_rows(letter)
+    row = rows.get(wid)
+    if row is not None:
+        return row
+    nword = tables.words[wid]
     if not nword or letter <= nword[0]:
-        res = {(letter,) + nword: 1}
+        row = [(tables.intern((letter,) + nword), 1)]
     else:
-        head, rest = nword[0], nword[1:]
+        head, rest = nword[0], tables.intern(nword[1:])
         res = {}
-        for w, c in _push(letter, rest).items():
-            # head is minimal, so re-inserting it only crosses letters of
-            # its own (abelian) family
-            lst = list(w)
-            insort(lst, head)
-            res[tuple(lst)] = res.get(tuple(lst), 0) + c
+        # head is minimal, so re-inserting it only crosses letters of its
+        # own (abelian) family; distinct words stay distinct
+        for w, c in _push(tables, letter, rest):
+            res[tables.intern(_insorted(tables.words[w], head))] = c
         br = _BRACKET.get((letter[0], head[0]))
         if br is not None:
             coeff, rank = br
-            merged = (rank, letter[1] + head[1])
-            for w, c in _push(merged, rest).items():
-                new = res.get(w, 0) + coeff * c
-                if new:
-                    res[w] = new
-                elif w in res:
-                    del res[w]
-    _PUSH_CACHE[key] = res
-    return res
+            for w, c in _push(tables, (rank, letter[1] + head[1]), rest):
+                add_term(res, w, coeff * c)
+        row = list(res.items())
+    rows[wid] = row
+    return row
 
 
-_ATTACH_CACHE: dict = {}
+def _attach_pure(tables: OracleTables, wid: int) -> list:
+    """Attach row of the normal word with id wid over the tables' basis.
 
-
-def _attach_pure(nword, mono: Monomial) -> dict:
-    """Surviving monomial terms of (normal word) . f_mono . v.
-
-    Folds the word onto the monomial with _push and keeps what the
-    generator does not kill.  Cached; callers must not mutate the result.
+    Pushes the word's first letter onto the attach row of the rest of the
+    word, keeping only live words; stored in the tables.
     """
-    key = (nword, mono)
-    hit = _ATTACH_CACHE.get(key)
-    if hit is not None:
-        return hit
-    if all(rank == 0 for rank, _ in nword):
-        res = {tuple(sorted(tuple(i for _, i in nword) + mono)): 1}
+    row = tables.attach_rows.get(wid)
+    if row is not None:
+        return row
+    word = tables.words[wid]
+    nb = tables.nb
+    if not word:
+        row = [(m * nb + i, 1) for i, m in enumerate(tables.basis)]
     else:
-        state = {_fword(mono): 1}
-        for letter in reversed(nword):
-            nxt = {}
-            get = nxt.get
-            for w, cw in state.items():
-                for w2, c2 in _push(letter, w).items():
-                    new = get(w2, 0) + cw * c2
-                    if new:
-                        nxt[w2] = new
-                    elif w2 in nxt:
-                        del nxt[w2]
-            state = nxt
-        res = _project_normal(state)
-    _ATTACH_CACHE[key] = res
-    return res
-
-
-def _fword(m: Monomial):
-    return tuple((0, g) for g in m)
-
-
-_MONO_OF_WORD: dict = {}
-
-
-def _monomial_of(w) -> Monomial | None:
-    """Monomial named by a pure lowering word, None if e or h letters remain."""
-    hit = _MONO_OF_WORD.get(w, False)
-    if hit is not False:
-        return hit
-    mono = tuple(idx for _, idx in w) if all(rank == 0 for rank, _ in w) else None
-    _MONO_OF_WORD[w] = mono
-    return mono
-
-
-def _project_normal(state: dict) -> dict:
-    """Evaluate normal-ordered words on the generator: E and H kill it."""
-    out = {}
-    for w, c in state.items():
-        mono = _monomial_of(w)
-        if mono is not None:
-            add_term(out, mono, c)
-    return out
+        rows, live = tables._letter_rows(word[0]), tables.live
+        out = {}
+        for p, c in _attach_pure(tables, tables.intern(word[1:])):
+            m, i = divmod(p, nb)
+            push_row = rows.get(m)
+            if push_row is None:
+                push_row = _push(tables, word[0], m)
+            for w, c2 in push_row:
+                if live[w]:
+                    add_term(out, w * nb + i, c * c2)
+        row = list(out.items())
+    tables.attach_rows[wid] = row
+    return row
 
 
 def pbw_oracle(word, x: ModuleElement, max_letters: int = DEFAULT_ORACLE_BOUND) -> ModuleElement:
     """Re-derive act_word through bracket rewriting; test oracle only."""
     word = tuple(word)
+    tables = OracleTables()
     out = {}
     for m, cm in x.terms.items():
         if len(word) + len(m) > max_letters:
             raise ValueError(
                 f"oracle bound exceeded: {len(word)} letters on a layer-{len(m)} "
                 f"monomial (limit {max_letters} total)")
-        state = {_fword(m): cm}
+        state = {tables.mono_id(m): cm}
         for kind, k in reversed(word):
-            letter = (_RANK[kind], k)
-            nxt = {}
-            for w, cw in state.items():
-                for w2, c2 in _push(letter, w).items():
-                    add_term(nxt, w2, cw * c2)
-            state = nxt
-        for mono, c in _project_normal(state).items():
-            add_term(out, mono, c)
+            state = {w: c for w, c in tables.push(kind, k, state).items()
+                     if tables.live[w]}
+        for w, c in state.items():
+            add_term(out, tables.monomial(w), c)
     return ModuleElement(out)
 
 

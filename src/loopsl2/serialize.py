@@ -8,12 +8,15 @@ Formats (all deterministic: terms sorted, coefficients in lowest terms):
     exp function     {"roots": ["p/q", ...]}
 
 Integral coefficients are written without the denominator.  Integer
-fields accept JSON integers only: true and false are rejected.
+fields accept JSON integers only: true and false are rejected.  A
+coefficient may have at most MAX_COEFF_CHARS characters and a decimal
+exponent ("1.5e3") of at most MAX_COEFF_EXPONENT in absolute value.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .expmod import ExpFunction
@@ -27,9 +30,29 @@ def format_coeff(c) -> str:
     return str(Fraction(c))
 
 
+# Fraction expands a decimal exponent into a power of ten, so without a
+# bound "1e999999999" would build a billion-digit integer.
+MAX_COEFF_CHARS = 1000
+MAX_COEFF_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)")
+
+
 def parse_coeff(s) -> Fraction:
+    """Exact rational from its text ("3", "-3/4", "0.25", "1e-3").
+
+    Raises ValueError on a malformed or zero-denominator text, and on one
+    beyond the limits MAX_COEFF_CHARS and MAX_COEFF_EXPONENT.
+    """
+    text = str(s)
+    if len(text) > MAX_COEFF_CHARS:
+        raise ValueError(f"coefficient of {len(text)} characters is longer "
+                         f"than the limit of {MAX_COEFF_CHARS}")
+    exponent = _EXPONENT.search(text)
+    if exponent and abs(int(exponent.group(1).replace("_", ""))) > MAX_COEFF_EXPONENT:
+        raise ValueError(f"coefficient {text!r} has a decimal exponent beyond "
+                         f"the limit of {MAX_COEFF_EXPONENT}")
     try:
-        return Fraction(str(s))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad coefficient {s!r}") from exc
 

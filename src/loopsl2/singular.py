@@ -16,7 +16,7 @@ from . import linalg
 from .loopmod import (ModuleElement, formal_e, is_singular, make_element,
                       monomial)
 from .realization import apply_sym, theta
-from .symlaurent import SymElement, discriminant, divide_exact, lambda_poly, sym_mul
+from .symlaurent import SymElement, discriminant, divide_exact, lambda_poly
 
 def signed_permutations(n: int):
     """Each permutation of range(n), in lexicographic order, with its sign.
@@ -101,7 +101,8 @@ def window_monomials(w: Window) -> list:
     return [m for m in monos if sum(m) == w.degree]
 
 
-def _elements_to_rows(elements, monos):
+def elements_to_rows(elements, monos):
+    """Coordinate rows of the elements over the monomials ``monos``."""
     index = {m: i for i, m in enumerate(monos)}
     rows = []
     for el in elements:
@@ -160,7 +161,7 @@ def discriminant_image_space(w: Window, slack: int | None = None) -> list:
     inside = set(monos)
     extra = sorted({m for im in images for m in im.terms if m not in inside})
     coords = list(monos) + extra
-    img_rows = _elements_to_rows(images, coords)
+    img_rows = elements_to_rows(images, coords)
     n_in = len(monos)
     # combinations whose out-of-window coordinates vanish
     out_matrix = [[row[n_in + j] for row in img_rows] for j in range(len(extra))]
@@ -208,11 +209,11 @@ def conjecture_scan(n: int, dmin: int, dmax: int, lo: int, hi: int,
             rows.append(ScanRow(n, d, 0, 0, True, True, slack))
             continue
         sing = singular_space(w)
-        sing_rows = _elements_to_rows(sing, monos)
+        sing_rows = elements_to_rows(sing, monos)
         used = slack
         while True:
             image = discriminant_image_space(w, used)
-            img_rows = _elements_to_rows(image, monos)
+            img_rows = elements_to_rows(image, monos)
             forward = linalg.span_contains(sing_rows, img_rows)
             if not forward:
                 raise AssertionError(

@@ -47,7 +47,7 @@ from loopsl2 import (
 )
 from loopsl2 import linalg
 from loopsl2.checks import oracle_equivalence_failures
-from loopsl2.singular import _elements_to_rows
+from loopsl2.singular import elements_to_rows
 
 
 def _report(num, label, t0, limit):
@@ -178,8 +178,8 @@ def test_criterion_7_conjecture_evidence():
         assert row.dim_singular == row.dim_disc_image
         w = Window(0, 4, 2, row.degree)
         monos = window_monomials(w)
-        sing = _elements_to_rows(singular_space(w), monos)
-        image = _elements_to_rows(discriminant_image_space(w, 2), monos)
+        sing = elements_to_rows(singular_space(w), monos)
+        image = elements_to_rows(discriminant_image_space(w, 2), monos)
         assert linalg.span_equal(sing, image)
     assert rows[2].degree == 4 and rows[2].dim_singular == 2
     # larger scan reported, not gated

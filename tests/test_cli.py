@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -90,6 +91,15 @@ class TestActCommand:
         assert code == 2
         assert "cannot write" in err
 
+    def test_huge_coefficient_exits_2_quickly(self, tmp_path, capsys):
+        src = tmp_path / "el.json"
+        src.write_text('{"terms": [{"exps": [1], "coeff": "1e999999999"}]}')
+        start = time.monotonic()
+        code, _, err = run(capsys, "act", "--in", str(src), "--word", "f:1")
+        assert time.monotonic() - start < 1
+        assert code == 2
+        assert "decimal exponent beyond the limit of 1000" in err
+
 
 class TestThetaCommand:
     def test_realizes_layer(self, tmp_path, capsys):
@@ -169,6 +179,13 @@ class TestClassifyCommand:
     def test_zero_top_exits_1(self, capsys):
         code, _, err = run(capsys, "classify-hom", "--n", "2", "--zeta", "1,0")
         assert code == 1
+
+    def test_huge_exponent_exits_2_quickly(self, capsys):
+        start = time.monotonic()
+        code, _, err = run(capsys, "classify-hom", "--n", "1", "--zeta", "1e999999999")
+        assert time.monotonic() - start < 1
+        assert code == 2
+        assert "bad values" in err
 
 
 class TestVerifyCommand:

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,16 @@ class TestModuleElementJson:
                     '{"terms": [{"exps": [true, 2], "coeff": "1"}]}'):
             with pytest.raises(ValueError):
                 ser.loads_element(bad)
+
+    def test_coefficient_limits(self):
+        start = time.monotonic()
+        for bad in ("1e999999999", "1E-1001", "2.5e1_001", "1" * 1001):
+            with pytest.raises(ValueError, match="limit"):
+                ser.loads_element('{"terms": [{"exps": [1], "coeff": "%s"}]}' % bad)
+        assert time.monotonic() - start < 1
+        assert ser.parse_coeff("1e1000") == 10 ** 1000
+        assert ser.parse_coeff("-1.5E-1000") == Fraction(-15, 10 ** 1001)
+        assert ser.parse_coeff("1" * 1000) == int("1" * 1000)
 
     def test_deterministic(self):
         x = make_element([((0, 2), 1), ((1, 1), 2), ((-1,), 3)])

@@ -23,7 +23,7 @@ from loopsl2 import (
     window_monomials,
 )
 from loopsl2 import linalg
-from loopsl2.singular import _elements_to_rows
+from loopsl2.singular import elements_to_rows
 
 half = Fraction(1, 2)
 
@@ -137,8 +137,8 @@ class TestSingularSpace:
         monos = window_monomials(Window(0, 4, 2, 4))
         expect = [make_element([((1, 3), 1), ((2, 2), -1)]),
                   make_element([((0, 4), 1), ((1, 3), -1)])]
-        assert linalg.span_equal(_elements_to_rows(basis, monos),
-                                 _elements_to_rows(expect, monos))
+        assert linalg.span_equal(elements_to_rows(basis, monos),
+                                 elements_to_rows(expect, monos))
 
     def test_small_windows_empty(self):
         assert singular_space(Window(0, 1, 2, 1)) == []
@@ -157,9 +157,9 @@ class TestSingularSpace:
         w = Window(0, 4, 2, 4)
         basis = singular_space(w)
         monos = window_monomials(w)
-        rows = _elements_to_rows(basis, monos)
+        rows = elements_to_rows(basis, monos)
         sv = build_singular((0, 1))
-        assert linalg.in_row_span(rows, _elements_to_rows([sv], monos)[0])
+        assert linalg.in_row_span(rows, elements_to_rows([sv], monos)[0])
 
     def test_h_stability_outside_window(self):
         for el in singular_space(Window(0, 3, 2, 3)):
@@ -174,8 +174,8 @@ class TestDiscriminantImage:
         sing = singular_space(w)
         monos = window_monomials(w)
         assert len(image) == 2
-        assert linalg.span_equal(_elements_to_rows(image, monos),
-                                 _elements_to_rows(sing, monos))
+        assert linalg.span_equal(elements_to_rows(image, monos),
+                                 elements_to_rows(sing, monos))
 
     def test_all_images_singular(self):
         for el in discriminant_image_space(Window(0, 4, 2, 4), 2):
@@ -231,9 +231,9 @@ class TestConjectureScan:
             assert is_singular(el)
         # contains the degree-2 kernel direction f0f2 - f1^2
         monos = window_monomials(Window(0, 2, 2))
-        rows = _elements_to_rows(basis, monos)
+        rows = elements_to_rows(basis, monos)
         target = make_element([((0, 2), 1), ((1, 1), -1)])
-        assert linalg.in_row_span(rows, _elements_to_rows([target], monos)[0])
+        assert linalg.in_row_span(rows, elements_to_rows([target], monos)[0])
 
 
 class TestSubmoduleGeneration:
