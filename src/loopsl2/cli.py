@@ -21,6 +21,10 @@ from .singular import build_singular, conjecture_scan
 
 USAGE_ERROR, VERIFY_ERROR = 2, 1
 
+# build_singular sums over all n! permutations: 9 entries take a few
+# seconds and up to tens of MB of JSON, 11 entries would not finish.
+MAX_CHI_ENTRIES = 9
+
 
 class CommandError(Exception):
     def __init__(self, message, code=USAGE_ERROR):
@@ -103,6 +107,9 @@ def cmd_singular(args) -> int:
     chi = _parse_ints(args.chi, "tuple")
     if not chi:
         raise CommandError("need at least one entry in --chi")
+    if len(chi) > MAX_CHI_ENTRIES:
+        raise CommandError(f"--chi has {len(chi)} entries; at most {MAX_CHI_ENTRIES} "
+                           "are accepted (the vector has one term per permutation)")
     _write(args.out, serialize.dumps_element(build_singular(chi)))
     return 0
 

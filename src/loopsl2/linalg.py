@@ -9,18 +9,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
+
+from .terms import integer_scaled
 
 
 def _to_int_rows(rows):
     """Scale each row by its denominator lcm; kernels and row spans survive."""
-    out = []
-    for row in rows:
-        fr = [Fraction(x) for x in row]
-        den = 1
-        for x in fr:
-            den = den * x.denominator // gcd(den, x.denominator)
-        out.append([int(x * den) for x in fr])
-    return out
+    return [integer_scaled(row)[0] for row in rows]
 
 
 def echelon(rows):
@@ -40,12 +36,17 @@ def echelon(rows):
         if pr is None:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
-        piv = mat[r][col]
+        # rows r.. vanish left of col, so only the columns from col on change
+        tail_r = mat[r][col:]
+        piv = tail_r[0]
         for i in range(r + 1, len(mat)):
-            fi = mat[i][col]
-            row_i, row_r = mat[i], mat[r]
-            for j in range(ncols):
-                row_i[j] = (row_i[j] * piv - fi * row_r[j]) // prev
+            row_i = mat[i]
+            fi = row_i[col]
+            if fi:
+                row_i[col:] = [(x * piv - fi * y) // prev
+                               for x, y in zip(row_i[col:], tail_r)]
+            elif piv != prev:
+                row_i[col:] = [x * piv // prev for x in row_i[col:]]
         prev = piv
         pivots.append(col)
         r += 1
@@ -62,36 +63,51 @@ def kernel_basis(rows, ncols):
     """Deterministic basis of {x : M x = 0} for the matrix with the given rows.
 
     One vector per free column: 1 there, 0 at later free columns, pivot
-    coordinates solved exactly by back substitution.
+    coordinates solved exactly by back substitution in integers over one
+    common denominator.
     """
     ech, pivots = echelon(rows)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
+        # integer numerators over the running denominator den
+        vec = [0] * ncols
+        vec[f] = 1
+        den = 1
         for r in range(len(pivots) - 1, -1, -1):
             pc = pivots[r]
-            acc = sum((ech[r][j] * vec[j] for j in range(pc + 1, ncols)), Fraction(0))
-            vec[pc] = -acc / ech[r][pc]
-        basis.append(vec)
+            row = ech[r]
+            acc = sum(map(mul, row[pc + 1:], vec[pc + 1:]))
+            if acc:
+                g = gcd(acc, row[pc])
+                scale = row[pc] // g
+                if scale != 1:
+                    vec = [v * scale for v in vec]
+                    den *= scale
+                vec[pc] = -acc // g
+        basis.append([Fraction(v, den) for v in vec])
     return basis
 
 
 def reduced_row_basis(rows):
-    """Canonical (reduced row echelon) basis of the row span; pivots are 1."""
+    """Canonical (reduced row echelon) basis of the row span; pivots are 1.
+
+    The back elimination runs on integer rows, each kept primitive; the
+    pivots are divided out once at the end.
+    """
     ech, pivots = echelon(rows)
-    red = [[Fraction(x) for x in row] for row in ech]
     for r in range(len(pivots) - 1, -1, -1):
         pc = pivots[r]
-        lead = red[r][pc]
-        red[r] = [x / lead for x in red[r]]
+        row_r = ech[r]
+        lead = row_r[pc]
         for i in range(r):
-            factor = red[i][pc]
+            factor = ech[i][pc]
             if factor:
-                red[i] = [red[i][j] - factor * red[r][j] for j in range(len(red[i]))]
-    return [tuple(row) for row in red]
+                row = [x * lead - factor * y for x, y in zip(ech[i], row_r)]
+                g = gcd(*row)
+                ech[i] = [x // g for x in row] if g != 1 else row
+    return [tuple(Fraction(x, row[pc]) for x in row) for row, pc in zip(ech, pivots)]
 
 
 def in_row_span(rows, vec) -> bool:

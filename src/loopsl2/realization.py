@@ -9,9 +9,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, gcd, prod
 
-from .loopmod import ModuleElement, homogeneous_layer, make_element
+from .loopmod import ModuleElement, homogeneous_layer
 from .symlaurent import SymElement, orbit, power_sum, sym_mul, sym_one
-from .terms import Terms, add_term
+from .terms import Terms, add_term, integer_scaled
 
 
 class RequiresExtensionError(ValueError):
@@ -64,7 +64,7 @@ def theta(x: ModuleElement) -> SymElement:
 
 
 def theta_inv(p: SymElement) -> ModuleElement:
-    return make_element((g, c) for g, c in p.terms.items())
+    return ModuleElement({tuple(reversed(g)): c for g, c in p.terms.items()})
 
 
 def apply_sym(p: SymElement, x: ModuleElement) -> ModuleElement:
@@ -139,10 +139,7 @@ def _rational_roots_monic(coeffs) -> list:
     roots = []
     cur = [Fraction(c) for c in coeffs]
     while len(cur) > 1:
-        den = 1
-        for c in cur:
-            den = den * c.denominator // gcd(den, c.denominator)
-        ints = [int(c * den) for c in cur]
+        ints, _ = integer_scaled(cur)
         found = None
         for q in _divisors(ints[0]):
             for pnum in _divisors(ints[-1]):

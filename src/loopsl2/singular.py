@@ -9,7 +9,6 @@ its output; the module components themselves are infinite-dimensional.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 
 from . import linalg
@@ -102,13 +101,14 @@ def window_monomials(w: Window) -> list:
 
 
 def elements_to_rows(elements, monos):
-    """Coordinate rows of the elements over the monomials ``monos``."""
+    """Coordinate rows of the elements over the monomials ``monos``; the
+    coefficients are entered as they are, zeros as int 0."""
     index = {m: i for i, m in enumerate(monos)}
     rows = []
     for el in elements:
-        row = [Fraction(0)] * len(monos)
+        row = [0] * len(monos)
         for m, c in el.terms.items():
-            row[index[m]] = Fraction(c)
+            row[index[m]] = c
         rows.append(row)
     return rows
 
@@ -144,7 +144,16 @@ def singular_space(w: Window) -> list:
 
 def discriminant_image_space(w: Window, slack: int | None = None) -> list:
     """Basis of the window-supported part of the discriminant-times-layer
-    space, generated from preimages drawn from the slack-enlarged window."""
+    space, generated from preimages drawn from the slack-enlarged window.
+
+    The images are written with the out-of-window monomials as the leading
+    coordinates and row-reduced once.  The echelon rows whose pivot lies in
+    the window columns vanish outside the window and span the intersection
+    of the image with the window: a combination of echelon rows with zero
+    out-of-window part has no weight on the rows pivoting there.  The
+    reduced row echelon form of that span is returned, which depends on the
+    span alone.
+    """
     monos = window_monomials(w)
     if not monos:
         raise ValueError("empty window")
@@ -155,27 +164,12 @@ def discriminant_image_space(w: Window, slack: int | None = None) -> list:
     pre = Window(w.lo - slack, w.hi + slack, n,
                  None if w.degree is None else w.degree - n * (n - 1))
     images = [apply_sym(dn, make_element([(y, 1)])) for y in window_monomials(pre)]
-    images = [im for im in images if not im.is_zero()]
-    if not images:
-        return []
     inside = set(monos)
     extra = sorted({m for im in images for m in im.terms if m not in inside})
-    coords = list(monos) + extra
-    img_rows = elements_to_rows(images, coords)
-    n_in = len(monos)
-    # combinations whose out-of-window coordinates vanish
-    out_matrix = [[row[n_in + j] for row in img_rows] for j in range(len(extra))]
-    combos = (linalg.kernel_basis(out_matrix, len(images)) if extra
-              else [[Fraction(1 if i == j else 0) for j in range(len(images))]
-                    for i in range(len(images))])
-    inside_vectors = []
-    for combo in combos:
-        vec = [sum((combo[i] * img_rows[i][c] for i in range(len(images))), Fraction(0))
-               for c in range(n_in)]
-        if any(vec):
-            inside_vectors.append(vec)
-    basis_rows = linalg.reduced_row_basis(inside_vectors)
-    return _rows_to_elements(basis_rows, monos)
+    ech, pivots = linalg.echelon(elements_to_rows(images, extra + monos))
+    n_out = len(extra)
+    inside_rows = [row[n_out:] for row, pc in zip(ech, pivots) if pc >= n_out]
+    return _rows_to_elements(linalg.reduced_row_basis(inside_rows), monos)
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import comb, factorial
+from operator import add
 
-from .terms import Terms, add_term
+from .terms import Terms, add_term, integer_scaled
 
 
 class NotSymmetricError(ValueError):
@@ -93,22 +94,29 @@ def orbit(g) -> tuple:
 
 
 def sym_mul(a: SymElement, b: SymElement) -> SymElement:
-    """Product in the m basis via the permutation-sum rule."""
+    """Product in the m basis via the permutation-sum rule.
+
+    Both operands are scaled to integer coefficients, the orbit counts are
+    summed as integers and each product coefficient is divided once by
+    da * db * n!, where da and db are the operands' common denominators.
+    """
     a._check(b)
     n = a.n
-    inv = Fraction(1, factorial(n))
+    ca, da = integer_scaled(a.terms.values())
+    cb, db = integer_scaled(b.terms.values())
     orbits = []
-    for x, cb in b.terms.items():
+    for x, c in zip(b.terms, cb):
         perms, count = orbit(x)
-        orbits.append((perms, cb * count * inv))
-    out = {}
-    for g, ca in a.terms.items():
-        for perms, cb in orbits:
-            c = ca * cb
+        orbits.append((perms, c * count))
+    acc = {}
+    for g, c in zip(a.terms, ca):
+        for perms, cx in orbits:
+            cg = c * cx
             for perm in perms:
-                idx = tuple(sorted((g[i] + perm[i] for i in range(n)), reverse=True))
-                add_term(out, idx, c)
-    return SymElement(n, out)
+                idx = tuple(sorted(map(add, g, perm), reverse=True))
+                acc[idx] = acc.get(idx, 0) + cg
+    den = da * db * factorial(n)
+    return SymElement(n, {idx: Fraction(v, den) for idx, v in acc.items() if v})
 
 
 def power_sum(n: int, k: int) -> SymElement:

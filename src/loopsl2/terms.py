@@ -8,6 +8,9 @@ dict lives here once.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd
+
 
 def add_term(terms: dict, key, coeff) -> None:
     """Add coeff to terms[key] in place, dropping the key when it cancels."""
@@ -16,6 +19,25 @@ def add_term(terms: dict, key, coeff) -> None:
         terms[key] = new
     elif key in terms:
         del terms[key]
+
+
+def integer_scaled(coeffs) -> tuple:
+    """(ints, d): the coefficients times their least common denominator d.
+
+    Exact for int and Fraction coefficients; any other kind, a float above
+    all, raises TypeError rather than being truncated to an integer.
+    """
+    coeffs = list(coeffs)
+    den = 1
+    for c in coeffs:
+        if type(c) is not int:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
+            d = c.denominator
+            if den % d:
+                den = den // gcd(den, d) * d
+    return [c * den if type(c) is int else c.numerator * (den // c.denominator)
+            for c in coeffs], den
 
 
 class Terms:

@@ -126,6 +126,14 @@ class TestSingularCommand:
         code, _, _ = run(capsys, "singular", "--chi", "0,x")
         assert code == 2
 
+    def test_too_many_entries_exits_2_quickly(self, capsys):
+        start = time.monotonic()
+        code, out, err = run(capsys, "singular", "--chi", ",".join(map(str, range(11))))
+        assert time.monotonic() - start < 1
+        assert code == 2
+        assert out == ""
+        assert "at most 9" in err
+
 
 class TestScanCommand:
     def test_csv_output(self, capsys):
@@ -148,6 +156,56 @@ class TestScanCommand:
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
         assert first == second
+
+
+# stdout of scan-conjecture, pinned as literal text: any rewrite of the
+# scan has to reproduce it byte for byte
+GOLDEN_SCANS = [
+    (("--n", "3", "--dmin", "0", "--dmax", "12", "--lo", "-2", "--hi", "6"), """\
+n,d,dim_singular,dim_disc_image,forward_contained,reverse_contained,slack
+3,0,1,1,true,true,3
+3,1,1,1,true,true,3
+3,2,2,2,true,true,3
+3,3,3,3,true,true,3
+3,4,4,4,true,true,3
+3,5,4,4,true,true,3
+3,6,5,5,true,true,3
+3,7,4,4,true,true,3
+3,8,4,4,true,true,3
+3,9,3,3,true,true,3
+3,10,2,2,true,true,3
+3,11,1,1,true,true,3
+3,12,1,1,true,true,3
+"""),
+    (("--n", "4", "--dmin", "6", "--dmax", "10", "--lo", "0", "--hi", "5"), """\
+n,d,dim_singular,dim_disc_image,forward_contained,reverse_contained,slack
+4,6,0,0,true,true,4
+4,7,0,0,true,true,4
+4,8,0,0,true,true,4
+4,9,0,0,true,true,4
+4,10,0,0,true,true,4
+"""),
+    (("--n", "2", "--dmin", "0", "--dmax", "8", "--lo", "-2", "--hi", "6", "--slack", "1"),
+     """\
+n,d,dim_singular,dim_disc_image,forward_contained,reverse_contained,slack
+2,0,2,2,true,true,1
+2,1,2,2,true,true,1
+2,2,3,3,true,true,1
+2,3,3,3,true,true,1
+2,4,4,4,true,true,1
+2,5,3,3,true,true,1
+2,6,3,3,true,true,1
+2,7,2,2,true,true,1
+2,8,2,2,true,true,1
+"""),
+]
+
+
+@pytest.mark.parametrize("args, expected", GOLDEN_SCANS,
+                         ids=["n3", "n4", "n2-slack1"])
+def test_scan_golden_stdout(capsys, args, expected):
+    code, out, err = run(capsys, "scan-conjecture", *args)
+    assert (code, out, err) == (0, expected, "")
 
 
 class TestDimsCommand:

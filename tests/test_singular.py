@@ -8,6 +8,7 @@ from loopsl2 import (
     Window,
     act_h,
     act_word,
+    apply_sym,
     build_singular,
     conjecture_scan,
     discriminant,
@@ -192,6 +193,72 @@ class TestDiscriminantImage:
     def test_default_slack_is_layer(self):
         w = Window(0, 4, 2, 4)
         assert discriminant_image_space(w) == discriminant_image_space(w, 2)
+
+
+def image_by_kernel_route(w, slack=None):
+    """Reference for discriminant_image_space by a second route: the kernel
+    of the out-of-window block of the image rows gives the combinations of
+    images that vanish outside the window; those combinations, summed in
+    Fractions, span the window part of the image."""
+    monos = window_monomials(w)
+    n = w.n
+    if slack is None:
+        slack = n
+    pre = Window(w.lo - slack, w.hi + slack, n,
+                 None if w.degree is None else w.degree - n * (n - 1))
+    images = [apply_sym(discriminant(n), make_element([(y, 1)]))
+              for y in window_monomials(pre)]
+    images = [im for im in images if not im.is_zero()]
+    if not images:
+        return []
+    inside = set(monos)
+    extra = sorted({m for im in images for m in im.terms if m not in inside})
+    rows = elements_to_rows(images, list(monos) + extra)
+    n_in = len(monos)
+    out_block = [[row[n_in + j] for row in rows] for j in range(len(extra))]
+    combos = (linalg.kernel_basis(out_block, len(images)) if extra
+              else [[int(i == j) for j in range(len(images))] for i in range(len(images))])
+    inside_vectors = []
+    for combo in combos:
+        vec = [sum((Fraction(combo[i]) * rows[i][c] for i in range(len(images))), Fraction(0))
+               for c in range(n_in)]
+        if any(vec):
+            inside_vectors.append(vec)
+    basis = linalg.reduced_row_basis(inside_vectors)
+    return [make_element((monos[i], c) for i, c in enumerate(row) if c) for row in basis]
+
+
+SLACKS = (0, 1, 2, None)
+
+# (lo, hi, n, degrees, slacks); None as a degree is the window without a
+# degree filter, None as a slack the default (the layer).  Without a degree
+# filter the layer-4 default slack draws 495 or more preimages, which takes
+# over 10 s on either route, so that case is left to slacks 0..2.
+ORACLE_CASES = [
+    (-2, 2, 1, (None, -2, 0, 1), SLACKS),
+    (-1, 3, 2, (None, 0, 2, 4, 6), SLACKS),
+    (0, 4, 2, (None, 3, 4), SLACKS),
+    (-1, 3, 3, (None, 1, 3, 5, 7), SLACKS),
+    (-1, 5, 4, (8,), SLACKS),
+    (0, 6, 4, (11, 12), SLACKS),
+    (0, 1, 4, (None,), (0, 1, 2)),
+]
+ORACLE_WINDOWS = [(Window(lo, hi, n, d), slack)
+                  for lo, hi, n, degrees, slacks in ORACLE_CASES
+                  for d in degrees for slack in slacks]
+
+
+class TestImageOracle:
+    @pytest.mark.parametrize("w, slack", ORACLE_WINDOWS,
+                             ids=[f"n{w.n}-{w.lo}..{w.hi}-d{w.degree}-s{s}"
+                                  for w, s in ORACLE_WINDOWS])
+    def test_equals_kernel_route(self, w, slack):
+        assert discriminant_image_space(w, slack) == image_by_kernel_route(w, slack)
+
+    def test_cases_not_vacuous(self):
+        # in every layer some compared window holds part of the image
+        nonempty = {w.n for w, slack in ORACLE_WINDOWS if image_by_kernel_route(w, slack)}
+        assert nonempty == {1, 2, 3, 4}
 
 
 class TestConjectureScan:

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopsl2 import (
     LaurentElement,
@@ -84,6 +86,48 @@ class TestMultiplication:
             if a.is_zero() or b.is_zero():
                 continue
             assert not sym_mul(a, b).is_zero()
+
+
+class TestIntegerProduct:
+    """sym_mul scales both operands to integers and divides once per key."""
+
+    def test_fraction_and_int_coefficients_exact(self):
+        a = SymElement(2, {(1, 0): 3, (0, 0): Fraction(1, 2)})
+        b = SymElement(2, {(0, 0): Fraction(2, 3)})
+        assert sym_mul(a, b).terms == {(1, 0): 2, (0, 0): Fraction(1, 3)}
+        assert all(type(c) is Fraction for c in sym_mul(a, b).terms.values())
+
+    @pytest.mark.parametrize("bad", [0.5, 2.0])
+    def test_float_coefficient_raises_type_error(self, bad):
+        floaty = SymElement(2, {(1, 0): bad})
+        with pytest.raises(TypeError):
+            sym_mul(floaty, sym_one(2))
+        with pytest.raises(TypeError):
+            sym_mul(sym_one(2), floaty)
+
+    def test_cancelled_key_is_not_stored(self):
+        # (z - 1/2)(z + 1/2) = z^2 - 1/4: the z terms cancel
+        a = SymElement(1, {(1,): 1, (0,): Fraction(-1, 2)})
+        b = SymElement(1, {(1,): 1, (0,): Fraction(1, 2)})
+        assert sym_mul(a, b).terms == {(2,): 1, (0,): Fraction(-1, 4)}
+
+
+@st.composite
+def sym_pairs(draw):
+    n = draw(st.integers(1, 4))
+    index = st.tuples(*[st.integers(-2, 2)] * n)
+    coeff = st.fractions(-3, 3, max_denominator=12).filter(bool)
+
+    def element():
+        return make_sym(n, draw(st.lists(st.tuples(index, coeff), max_size=3)))
+    return element(), element()
+
+
+@settings(max_examples=120, deadline=None)
+@given(sym_pairs())
+def test_product_matches_laurent_expansion(pair):
+    a, b = pair
+    assert expand(sym_mul(a, b)) == laurent_mul(expand(a), expand(b))
 
 
 class TestGenerators:
