@@ -135,9 +135,10 @@ def cmd_scan(args) -> int:
         raise CommandError(f"empty degree range [{args.dmin}, {args.dmax}]")
     if args.n < 1:
         raise CommandError("layer must be positive")
-    if args.slack < 0:
+    slack = args.n if args.slack is None else args.slack
+    if slack < 0:
         raise CommandError("slack must be nonnegative")
-    rows = conjecture_scan(args.n, args.dmin, args.dmax, args.lo, args.hi, args.slack)
+    rows = conjecture_scan(args.n, args.dmin, args.dmax, args.lo, args.hi, slack)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["n", "d", "dim_singular", "dim_disc_image",
@@ -240,8 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "slack", False) is None:
-        args.slack = args.n
     try:
         return args.func(args)
     except CommandError as exc:

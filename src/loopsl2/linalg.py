@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from operator import mul
 
 from .terms import integer_scaled
 
@@ -59,37 +58,6 @@ def rank(rows) -> int:
     return len(echelon(rows)[1])
 
 
-def kernel_basis(rows, ncols):
-    """Deterministic basis of {x : M x = 0} for the matrix with the given rows.
-
-    One vector per free column: 1 there, 0 at later free columns, pivot
-    coordinates solved exactly by back substitution in integers over one
-    common denominator.
-    """
-    ech, pivots = echelon(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        # integer numerators over the running denominator den
-        vec = [0] * ncols
-        vec[f] = 1
-        den = 1
-        for r in range(len(pivots) - 1, -1, -1):
-            pc = pivots[r]
-            row = ech[r]
-            acc = sum(map(mul, row[pc + 1:], vec[pc + 1:]))
-            if acc:
-                g = gcd(acc, row[pc])
-                scale = row[pc] // g
-                if scale != 1:
-                    vec = [v * scale for v in vec]
-                    den *= scale
-                vec[pc] = -acc // g
-        basis.append([Fraction(v, den) for v in vec])
-    return basis
-
-
 def reduced_row_basis(rows):
     """Canonical (reduced row echelon) basis of the row span; pivots are 1.
 
@@ -110,9 +78,31 @@ def reduced_row_basis(rows):
     return [tuple(Fraction(x, row[pc]) for x in row) for row, pc in zip(ech, pivots)]
 
 
+def kernel_basis(rows, ncols):
+    """Deterministic basis of {x : M x = 0} for the matrix with the given rows,
+    read off its reduced row echelon form R.
+
+    One vector per free column f: 1 at f, 0 at the other free columns and
+    -R[r][f] at the pivot of row r.  It is the only kernel vector with those
+    free coordinates; its last nonzero entry is the one at f.
+    """
+    rref = reduced_row_basis(rows)
+    pivots = [next(c for c, x in enumerate(row) if x) for row in rref]
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for row, pc in zip(rref, pivots):
+            vec[pc] = -row[f]
+        basis.append(vec)
+    return basis
+
+
 def in_row_span(rows, vec) -> bool:
-    base = rank(rows)
-    return rank(list(rows) + [list(vec)]) == base
+    return span_contains(rows, [vec])
 
 
 def span_contains(rows_a, rows_b) -> bool:

@@ -56,10 +56,6 @@ def generator() -> ModuleElement:
     return ModuleElement({(): 1})
 
 
-def zero() -> ModuleElement:
-    return ModuleElement()
-
-
 def layer_decompose(x: ModuleElement) -> dict:
     """Split by monomial length; the zero element gives the empty map."""
     parts = {}

@@ -114,30 +114,34 @@ def elements_to_rows(elements, monos):
 
 
 def _rows_to_elements(rows, monos):
-    out = []
-    for row in rows:
-        el = make_element((monos[i], c) for i, c in enumerate(row) if c)
-        if not el.is_zero():
-            out.append(el)
-    return out
+    return [make_element((monos[i], c) for i, c in enumerate(row) if c) for row in rows]
+
+
+def _by_degree(search, w: Window, order, *args) -> list:
+    """Union of a search over the degree slices of a window without a degree
+    filter.  The matrices are block diagonal by degree, so each basis vector
+    lies in one slice; sorting by ``order`` of its monomials (its index
+    column) restores the order of the whole window's basis."""
+    parts = [search(Window(w.lo, w.hi, w.n, d), *args)
+             for d in range(w.n * w.lo, w.n * w.hi + 1)]
+    return sorted((el for part in parts for el in part), key=lambda el: order(el.terms))
 
 
 def singular_space(w: Window) -> list:
     """Basis of all window-supported singular vectors of the given layer
-    (and degree, when fixed), via the exact kernel of the formal e-action."""
+    (and degree, when fixed): the kernel of the formal e-action, each vector
+    indexed by its last monomial.  A window without a degree filter runs as
+    its degree slices."""
+    if w.degree is None:
+        return _by_degree(singular_space, w, max)
     monos = window_monomials(w)
     if not monos:
         raise ValueError("empty window")
     if w.n <= 1:
         return [make_element([(m, 1)]) for m in monos]
-    keys = sorted({key
-                   for m in monos
-                   for key in formal_e(make_element([(m, 1)])).terms})
-    key_index = {k: i for i, k in enumerate(keys)}
-    rows = [[0] * len(monos) for _ in keys]
-    for col, m in enumerate(monos):
-        for key, c in formal_e(make_element([(m, 1)])).terms.items():
-            rows[key_index[key]][col] = c
+    certs = [formal_e(make_element([(m, 1)])) for m in monos]
+    keys = sorted({key for cert in certs for key in cert.terms})
+    rows = list(zip(*elements_to_rows(certs, keys)))
     kernel = linalg.kernel_basis(rows, len(monos))
     return _rows_to_elements(kernel, monos)
 
@@ -152,8 +156,11 @@ def discriminant_image_space(w: Window, slack: int | None = None) -> list:
     of the image with the window: a combination of echelon rows with zero
     out-of-window part has no weight on the rows pivoting there.  The
     reduced row echelon form of that span is returned, which depends on the
-    span alone.
+    span alone; each row is indexed by its first monomial.  A window without
+    a degree filter runs as its degree slices.
     """
+    if w.degree is None:
+        return _by_degree(discriminant_image_space, w, min, slack)
     monos = window_monomials(w)
     if not monos:
         raise ValueError("empty window")
@@ -161,8 +168,7 @@ def discriminant_image_space(w: Window, slack: int | None = None) -> list:
     if slack is None:
         slack = n
     dn = discriminant(n)
-    pre = Window(w.lo - slack, w.hi + slack, n,
-                 None if w.degree is None else w.degree - n * (n - 1))
+    pre = Window(w.lo - slack, w.hi + slack, n, w.degree - n * (n - 1))
     images = [apply_sym(dn, make_element([(y, 1)])) for y in window_monomials(pre)]
     inside = set(monos)
     extra = sorted({m for im in images for m in im.terms if m not in inside})
@@ -204,11 +210,14 @@ def conjecture_scan(n: int, dmin: int, dmax: int, lo: int, hi: int,
             continue
         sing = singular_space(w)
         sing_rows = elements_to_rows(sing, monos)
+        sing_rank = linalg.rank(sing_rows)
         used = slack
         while True:
             image = discriminant_image_space(w, used)
             img_rows = elements_to_rows(image, monos)
-            forward = linalg.span_contains(sing_rows, img_rows)
+            # a span contains the other when stacking adds nothing to its rank
+            both = linalg.rank(sing_rows + img_rows)
+            forward = both == sing_rank
             if not forward:
                 raise AssertionError(
                     f"discriminant image escaped the singular space at n={n}, d={d}; "
@@ -217,7 +226,7 @@ def conjecture_scan(n: int, dmin: int, dmax: int, lo: int, hi: int,
                 if not is_singular(el):
                     raise AssertionError(
                         f"non-singular vector in the discriminant image at n={n}, d={d}")
-            reverse = linalg.span_contains(img_rows, sing_rows)
+            reverse = both == linalg.rank(img_rows)
             if reverse or used >= slack + max_extra_slack:
                 break
             used += 1

@@ -154,10 +154,6 @@ class LaurentElement(Terms):
         return " + ".join(f"{self.terms[v]}*z^{v}" for v in sorted(self.terms))
 
 
-def laurent_monomial(n: int, vec, coeff=1) -> LaurentElement:
-    return LaurentElement(n, {tuple(vec): coeff})
-
-
 def laurent_mul(a: LaurentElement, b: LaurentElement) -> LaurentElement:
     a._check(b)
     out = {}

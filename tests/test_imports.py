@@ -3,7 +3,9 @@
 Every imported name must be used in its module (the package __init__ only
 re-exports, so it is exempt from that part), and no module may reach into
 another module's private names, neither by importing them nor through a
-module alias.
+module alias.  Every top-level function and class of the library must be
+referred to somewhere in src, tests or perfbench outside its own
+definition.
 """
 
 import ast
@@ -11,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "loopsl2"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "loopsl2"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -81,3 +84,57 @@ def test_module_imports(path):
 ])
 def test_scan_finds_each_kind(source, expected):
     assert scan(source) == expected
+
+
+def _names_in(node) -> set:
+    """Names a piece of code refers to: identifiers, attribute and imported
+    names, and string constants that are identifiers (the tracer's GROUPS
+    and __all__ name functions that way)."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name.rpartition(".")[2])
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) \
+                and sub.value.isidentifier():
+            names.add(sub.value)
+    return names
+
+
+def unreferenced(library: dict, others: list) -> list:
+    """``module.name`` of each top-level function or class in the library
+    sources (module name -> source) that no statement other than its own
+    definition refers to, in the library or in the other sources."""
+    defined, used = [], set()
+    for module, source in library.items():
+        for stmt in ast.parse(source).body:
+            own = getattr(stmt, "name", None)
+            if own is not None:
+                defined.append((module, own))
+            used |= _names_in(stmt) - {own}
+    for source in others:
+        used |= _names_in(ast.parse(source))
+    return [f"{module}.{name}" for module, name in defined if name not in used]
+
+
+def test_every_definition_referenced():
+    library = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    others = [p.read_text(encoding="utf-8")
+              for folder in ("tests", "perfbench")
+              for p in sorted((ROOT / folder).rglob("*.py"))]
+    assert unreferenced(library, others) == []
+
+
+@pytest.mark.parametrize("library, others, expected", [
+    ({"a": "def f(): pass\ndef g(): return f()\n"}, [], ["a.g"]),
+    ({"a": "def f(): return f()\n"}, [], ["a.f"]),
+    ({"a": "class C: pass\n"}, ["from a import C\n"], []),
+    ({"a": "def f(): pass\n"}, ["import a\na.f\n"], []),
+    ({"a": "def f(): pass\n"}, ["GROUPS = {'g': ('a', ('f',))}\n"], []),
+    ({"a": "def f(): pass\n"}, ["'f is named in a sentence'\n"], ["a.f"]),
+])
+def test_unreferenced_finds_each_kind(library, others, expected):
+    assert unreferenced(library, others) == expected

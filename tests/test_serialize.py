@@ -4,6 +4,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopsl2 import ExpFunction, TLaurent, make_element, make_sym
 from loopsl2 import serialize as ser
@@ -111,3 +113,40 @@ class TestExpFunctionJson:
     def test_zero_root_rejected(self):
         with pytest.raises(ValueError):
             ser.loads_expfunction('{"roots": ["0"]}')
+
+
+coeffs = st.fractions(-50, 50, max_denominator=30).filter(bool)
+exps = st.integers(-6, 6)
+
+
+@st.composite
+def sym_elements(draw):
+    n = draw(st.integers(1, 4))
+    return make_sym(n, draw(st.lists(st.tuples(st.tuples(*[exps] * n), coeffs), max_size=4)))
+
+
+# (dumps, loads, values); each value goes through the text and back, and
+# the text of the copy is the same bytes
+ROUND_TRIPS = {
+    "element": (ser.dumps_element, ser.loads_element, st.builds(
+        make_element, st.lists(st.tuples(st.lists(exps, max_size=4), coeffs), max_size=4))),
+    "sym": (ser.dumps_sym, ser.loads_sym, sym_elements()),
+    "tlaurent": (ser.dumps_tlaurent, ser.loads_tlaurent,
+                 st.builds(TLaurent, st.dictionaries(exps, coeffs, max_size=4))),
+    "expfunction": (ser.dumps_expfunction, ser.loads_expfunction,
+                    st.builds(ExpFunction, st.lists(coeffs, max_size=4))),
+}
+
+
+@pytest.mark.parametrize("kind", ROUND_TRIPS)
+def test_json_round_trip(kind):
+    dumps, loads, values = ROUND_TRIPS[kind]
+
+    @settings(max_examples=50, deadline=None)
+    @given(values)
+    def check(x):
+        text = dumps(x)
+        copy = loads(text)
+        assert copy == x
+        assert dumps(copy) == text
+    check()

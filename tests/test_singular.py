@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -13,6 +14,7 @@ from loopsl2 import (
     conjecture_scan,
     discriminant,
     discriminant_image_space,
+    formal_e,
     is_singular,
     layer_decompose,
     make_element,
@@ -24,6 +26,7 @@ from loopsl2 import (
     window_monomials,
 )
 from loopsl2 import linalg
+from loopsl2 import singular as singular_module
 from loopsl2.singular import elements_to_rows
 
 half = Fraction(1, 2)
@@ -232,12 +235,14 @@ SLACKS = (0, 1, 2, None)
 
 # (lo, hi, n, degrees, slacks); None as a degree is the window without a
 # degree filter, None as a slack the default (the layer).  Without a degree
-# filter the layer-4 default slack draws 495 or more preimages, which takes
-# over 10 s on either route, so that case is left to slacks 0..2.
+# filter the kernel route reduces every degree at once, which takes over
+# 10 s at the layer-4 default slack, so that case is left to slacks 0..2
+# here and compared slice by slice in TestDegreeSlices.
 ORACLE_CASES = [
     (-2, 2, 1, (None, -2, 0, 1), SLACKS),
     (-1, 3, 2, (None, 0, 2, 4, 6), SLACKS),
     (0, 4, 2, (None, 3, 4), SLACKS),
+    (-2, 3, 2, (None,), SLACKS),     # first and last monomials order the basis differently
     (-1, 3, 3, (None, 1, 3, 5, 7), SLACKS),
     (-1, 5, 4, (8,), SLACKS),
     (0, 6, 4, (11, 12), SLACKS),
@@ -259,6 +264,66 @@ class TestImageOracle:
         # in every layer some compared window holds part of the image
         nonempty = {w.n for w, slack in ORACLE_WINDOWS if image_by_kernel_route(w, slack)}
         assert nonempty == {1, 2, 3, 4}
+
+
+class TestDegreeSlices:
+    """A window without a degree filter is searched as its degree slices.
+    Row-reduced as one mixed-degree matrix, the layer-4 image below took
+    half a minute."""
+
+    def test_image_is_union_of_slices(self):
+        w = Window(0, 1, 4)
+        start = time.perf_counter()
+        got = discriminant_image_space(w)
+        elapsed = time.perf_counter() - start
+        slices = [el for d in range(w.n * w.lo, w.n * w.hi + 1)
+                  for el in image_by_kernel_route(Window(w.lo, w.hi, w.n, d))]
+        assert got == sorted(slices, key=lambda el: min(el.terms))
+        assert elapsed < 5
+
+    @pytest.mark.parametrize("w", [Window(-1, 3, 3), Window(-2, 3, 2)], ids=str)
+    def test_singular_space_is_sympy_nullspace(self, w):
+        sympy = pytest.importorskip("sympy")
+
+        def nullspace(window):
+            monos = window_monomials(window)
+            certs = [formal_e(make_element([(m, 1)])) for m in monos]
+            keys = sorted({key for cert in certs for key in cert.terms})
+            matrix = sympy.Matrix(len(keys), len(monos),
+                                  lambda i, j: certs[j].terms.get(keys[i], 0))
+            return [make_element((m, Fraction(int(x.p), int(x.q)))
+                                 for m, x in zip(monos, vec) if x)
+                    for vec in matrix.nullspace()]
+
+        start = time.perf_counter()
+        got = singular_space(w)
+        elapsed = time.perf_counter() - start
+        slices = [el for d in range(w.n * w.lo, w.n * w.hi + 1)
+                  for el in nullspace(Window(w.lo, w.hi, w.n, d))]
+        # per slice, and in the order of the whole window's kernel
+        assert got == sorted(slices, key=lambda el: max(el.terms)) == nullspace(w)
+        assert got
+        assert elapsed < 5
+
+
+class TestContainment:
+    """conjecture_scan's two containment tests, on images altered by hand."""
+
+    def test_smaller_image_fails_reverse_after_retries(self, monkeypatch):
+        real = singular_module.discriminant_image_space
+        monkeypatch.setattr(singular_module, "discriminant_image_space",
+                            lambda w, slack: real(w, slack)[1:])
+        (row,) = conjecture_scan(2, 4, 4, 0, 4, 2)
+        assert row.forward_contained and not row.reverse_contained
+        assert (row.dim_singular, row.dim_disc_image, row.slack) == (2, 1, 4)
+
+    def test_image_outside_singular_space_raises(self, monkeypatch):
+        real = singular_module.discriminant_image_space
+        stray = make_element([((0, 4), 1)])
+        monkeypatch.setattr(singular_module, "discriminant_image_space",
+                            lambda w, slack: real(w, slack) + [stray])
+        with pytest.raises(AssertionError, match="escaped the singular space"):
+            conjecture_scan(2, 4, 4, 0, 4, 2)
 
 
 class TestConjectureScan:

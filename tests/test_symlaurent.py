@@ -130,6 +130,28 @@ def test_product_matches_laurent_expansion(pair):
     assert expand(sym_mul(a, b)) == laurent_mul(expand(a), expand(b))
 
 
+@st.composite
+def quotient_and_divisor(draw):
+    """A symmetric element and a nonzero divisor (distinct indices, so no
+    term cancels), every coefficient with a denominator above 1."""
+    n = draw(st.integers(1, 4))
+    index = st.tuples(*[st.integers(-2, 2)] * n)
+    coeff = st.fractions(-3, 3, max_denominator=12).filter(lambda c: c.denominator > 1)
+
+    def element(min_size, max_size):
+        terms = st.lists(st.tuples(index, coeff), min_size=min_size, max_size=max_size,
+                         unique_by=lambda term: tuple(sorted(term[0])))
+        return make_sym(n, draw(terms))
+    return element(0, 3), element(1, 2)
+
+
+@settings(max_examples=50, deadline=None)
+@given(quotient_and_divisor())
+def test_division_undoes_product(pair):
+    a, b = pair
+    assert divide_exact(sym_mul(a, b), b) == a
+
+
 class TestGenerators:
     def test_power_sum_values(self):
         assert power_sum(2, 1) == make_sym(2, [((1, 0), 2)])
