@@ -25,6 +25,10 @@ USAGE_ERROR, VERIFY_ERROR = 2, 1
 # seconds and up to tens of MB of JSON, 11 entries would not finish.
 MAX_CHI_ENTRIES = 9
 
+# exp-dims writes one CSV row per degree: 10**6 degrees take about a second,
+# a range of 2*10**8 would not finish.
+MAX_DEGREE_SPAN = 10**6
+
 
 class CommandError(Exception):
     def __init__(self, message, code=USAGE_ERROR):
@@ -154,6 +158,10 @@ def cmd_scan(args) -> int:
 def cmd_dims(args) -> int:
     if args.dmin > args.dmax:
         raise CommandError(f"empty degree range [{args.dmin}, {args.dmax}]")
+    span = args.dmax - args.dmin + 1
+    if span > MAX_DEGREE_SPAN:
+        raise CommandError(f"degree range [{args.dmin}, {args.dmax}] holds {span} degrees; "
+                           f"at most {MAX_DEGREE_SPAN} are accepted (one row per degree)")
     roots = _parse_fractions(args.roots, "roots")
     try:
         phi = ExpFunction(roots)

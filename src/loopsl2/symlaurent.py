@@ -15,9 +15,10 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from itertools import permutations
-from math import comb, factorial
-from operator import add
+from math import comb, factorial, gcd
+from operator import add, mul, sub
 
 from .terms import Terms, add_term, integer_scaled
 
@@ -175,14 +176,18 @@ def laurent_substitute_equal(p: LaurentElement, i: int, j: int) -> LaurentElemen
 
 
 def expand(a: SymElement) -> LaurentElement:
-    """Write each m_gamma as its averaged orbit sum of plain monomials."""
+    """Write each m_gamma as its averaged orbit sum of plain monomials.
+
+    Distinct indices have disjoint orbits, so each monomial is written once,
+    with coefficient c * count / n!.
+    """
     inv = Fraction(1, factorial(a.n))
     out = {}
     for g, c in a.terms.items():
         perms, count = orbit(g)
         ci = c * count * inv
         for perm in perms:
-            add_term(out, perm, ci)
+            out[perm] = ci
     return LaurentElement(a.n, out)
 
 
@@ -237,24 +242,63 @@ def lambda_poly(n: int) -> SymElement:
 
 
 def _min_shift(p: LaurentElement) -> tuple:
-    return tuple(min(v[i] for v in p.terms) for i in range(p.n))
+    return tuple(map(min, zip(*p.terms)))
 
 
 def _poly_divide(A: dict, B: dict, n: int) -> dict:
-    """Exact division of nonnegative-exponent polynomials, lex leading terms."""
+    """Exact division of integer polynomials by lex leading terms.
+
+    A and B map nonnegative exponent vectors to ints, and B is primitive.
+    By Gauss's lemma the quotient is then integral, so a leading coefficient
+    that B's does not divide proves A indivisible.  A quotient exponent d
+    must satisfy 0 <= d_i <= deg_i(A) - deg_i(B); outside that box the
+    division fails too.  Every remainder term then stays inside A's degree
+    box, so exponent vectors are packed into ints in a base above every
+    coordinate: lex order becomes int order, a shift is one int addition,
+    and the leading term comes off a max-heap, stale keys skipped.  Returns
+    the quotient in decreasing lex order.
+    """
+    top = list(map(max, zip(*A)))
+    box = list(map(sub, top, map(max, zip(*B))))
+    if min(box) < 0:
+        raise NotDivisibleError("divisor has a higher degree in some variable")
+    base = max(top) + 1
+    weights = [base ** i for i in reversed(range(n))]
     lead_b = max(B)
     cb = B[lead_b]
-    rem = dict(A)
-    quo: dict = {}
-    while rem:
-        lead = max(rem)
-        diff = tuple(lead[i] - lead_b[i] for i in range(n))
-        if any(d < 0 for d in diff):
-            raise NotDivisibleError("leading term not divisible")
-        c = Fraction(rem[lead]) / Fraction(cb)
-        quo[diff] = quo.get(diff, 0) + c
-        for v, cv in B.items():
-            add_term(rem, tuple(v[i] + diff[i] for i in range(n)), -c * cv)
+    kb = sum(map(mul, lead_b, weights))
+    tail = [(sum(map(mul, v, weights)), c) for v, c in B.items() if v != lead_b]
+    rem = {sum(map(mul, v, weights)): c for v, c in A.items()}
+    heap = [-k for k in rem]
+    heapify(heap)
+    quo = {}
+    while heap:
+        lead = -heappop(heap)
+        c = rem.pop(lead, 0)
+        if not c:
+            continue
+        d, key = [], lead
+        for w, x in zip(weights, lead_b):
+            y, key = divmod(key, w)
+            d.append(y - x)
+        if not all(0 <= x <= hi for x, hi in zip(d, box)):
+            raise NotDivisibleError("quotient exponent outside the degree box")
+        q, r = divmod(c, cb)
+        if r:
+            raise NotDivisibleError("leading coefficient not divisible")
+        quo[tuple(d)] = q
+        shift = lead - kb
+        for k, cv in tail:
+            k += shift
+            if k in rem:
+                new = rem[k] - q * cv
+                if new:
+                    rem[k] = new
+                else:
+                    del rem[k]
+            else:
+                rem[k] = -q * cv
+                heappush(heap, -k)
     return quo
 
 
@@ -263,8 +307,9 @@ def divide_exact(a: SymElement, b: SymElement) -> SymElement:
 
     Performed in the Laurent expansion: both operands are shifted into the
     ordinary polynomial ring with each variable's least exponent cleared to
-    zero (monomials are units, so this loses nothing), divided there, and
-    shifted back.  Symmetry of the result is checked, not assumed.
+    zero (monomials are units, so this loses nothing), scaled to integers
+    with b made primitive, divided there by _poly_divide, and shifted and
+    scaled back.  Symmetry of the result is checked, not assumed.
     """
     a._check(b)
     if b.is_zero():
@@ -274,10 +319,14 @@ def divide_exact(a: SymElement, b: SymElement) -> SymElement:
     n = a.n
     A, B = expand(a), expand(b)
     sa, sb = _min_shift(A), _min_shift(B)
-    A0 = {tuple(v[i] - sa[i] for i in range(n)): c for v, c in A.terms.items()}
-    B0 = {tuple(v[i] - sb[i] for i in range(n)): c for v, c in B.terms.items()}
+    ca, da = integer_scaled(A.terms.values())
+    cb, db = integer_scaled(B.terms.values())
+    g = gcd(*cb)
+    A0 = {tuple(map(sub, v, sa)): c for v, c in zip(A.terms, ca)}
+    B0 = {tuple(map(sub, v, sb)): c // g for v, c in zip(B.terms, cb)}
     quo = _poly_divide(A0, B0, n)
-    back = tuple(sa[i] - sb[i] for i in range(n))
-    q = LaurentElement(n, {tuple(v[i] + back[i] for i in range(n)): c
-                           for v, c in quo.items() if c})
+    back = tuple(map(sub, sa, sb))
+    den = da * g
+    q = LaurentElement(n, {tuple(map(add, v, back)): Fraction(c * db, den)
+                           for v, c in quo.items()})
     return symmetrize(q)

@@ -5,7 +5,7 @@ import pytest
 
 from loopsl2 import make_element, serialize as ser
 from loopsl2.cli import main, parse_word
-from loopsl2.cli import CommandError
+from loopsl2.cli import MAX_DEGREE_SPAN, CommandError
 
 
 def run(capsys, *argv):
@@ -221,6 +221,26 @@ class TestDimsCommand:
     def test_zero_root_exits_2(self, capsys):
         code, _, _ = run(capsys, "exp-dims", "--roots", "1,0")
         assert code == 2
+
+    def test_huge_degree_range_exits_2_quickly(self, capsys):
+        start = time.monotonic()
+        code, out, err = run(capsys, "exp-dims", "--roots", "1,-1",
+                             "--dmin", "-100000000", "--dmax", "100000000")
+        assert time.monotonic() - start < 1
+        assert code == 2
+        assert out == ""
+        assert f"at most {MAX_DEGREE_SPAN}" in err
+
+    def test_largest_degree_range_answers(self, capsys):
+        code, out, err = run(capsys, "exp-dims", "--roots", "1,-1",
+                             "--dmin", "1", "--dmax", str(MAX_DEGREE_SPAN))
+        assert (code, err) == (0, "")
+        lines = out.split("\n")
+        assert len(lines) == MAX_DEGREE_SPAN + 2
+        assert lines[1] == "1,0" and lines[-2] == f"{MAX_DEGREE_SPAN},1" and lines[-1] == ""
+        code, _, err = run(capsys, "exp-dims", "--roots", "1,-1",
+                           "--dmin", "0", "--dmax", str(MAX_DEGREE_SPAN))
+        assert code == 2 and f"holds {MAX_DEGREE_SPAN + 1} degrees" in err
 
 
 class TestClassifyCommand:

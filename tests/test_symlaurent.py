@@ -1,5 +1,8 @@
 import random
+import time
 from fractions import Fraction
+from itertools import permutations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +27,7 @@ from loopsl2 import (
     symmetrize,
 )
 from loopsl2.symlaurent import laurent_substitute_equal
+from loopsl2.terms import add_term
 
 half = Fraction(1, 2)
 
@@ -104,6 +108,10 @@ class TestIntegerProduct:
             sym_mul(floaty, sym_one(2))
         with pytest.raises(TypeError):
             sym_mul(sym_one(2), floaty)
+        with pytest.raises(TypeError):
+            divide_exact(floaty, sym_one(2))
+        with pytest.raises(TypeError):
+            divide_exact(sym_one(2), floaty)
 
     def test_cancelled_key_is_not_stored(self):
         # (z - 1/2)(z + 1/2) = z^2 - 1/4: the z terms cancel
@@ -150,6 +158,35 @@ def quotient_and_divisor(draw):
 def test_division_undoes_product(pair):
     a, b = pair
     assert divide_exact(sym_mul(a, b), b) == a
+
+
+@st.composite
+def dividend_and_divisor(draw):
+    """Any dividend and nonzero divisor, divisible or not, with wider
+    exponents than the products above."""
+    n = draw(st.integers(1, 4))
+    index = st.tuples(*[st.integers(-4, 4)] * n)
+    coeff = st.fractions(-5, 5, max_denominator=5).filter(bool)
+    terms = st.lists(st.tuples(index, coeff), min_size=1, max_size=4)
+    b = draw(terms.map(lambda ts: make_sym(n, ts)).filter(lambda el: not el.is_zero()))
+    a = make_sym(n, draw(terms))
+    if draw(st.booleans()):
+        a = sym_mul(a, b)
+    return a, b
+
+
+@settings(max_examples=100, deadline=None)
+@given(dividend_and_divisor())
+def test_division_is_exact_or_refused(pair):
+    a, b = pair
+    start = time.perf_counter()
+    try:
+        q = divide_exact(a, b)
+    except NotDivisibleError:
+        q = None
+    assert time.perf_counter() - start < 1
+    if q is not None:
+        assert sym_mul(b, q) == a
 
 
 class TestGenerators:
@@ -334,3 +371,125 @@ class TestDivideExact:
         b = make_sym(2, [((-1, -1), 1)])
         a = sym_one(2)
         assert divide_exact(a, b) == make_sym(2, [((1, 1), 1)])
+
+
+def divide_by_fraction_route(a, b):
+    """Reference for divide_exact by the route it replaced: each m_gamma
+    summed over all n! permutations in Fractions, both operands shifted to
+    nonnegative exponents, and lex leading-term division with the leading
+    term found by max() and rational quotient coefficients."""
+    n = a.n
+    if a.is_zero():
+        return SymElement(n)
+
+    def shifted(el):
+        out = {}
+        for g, c in el.terms.items():
+            share = Fraction(c) / factorial(n)
+            for perm in permutations(g):
+                add_term(out, perm, share)
+        low = [min(v[i] for v in out) for i in range(n)]
+        return {tuple(x - m for x, m in zip(v, low)): c for v, c in out.items()}, low
+
+    (rem, sa), (B, sb) = shifted(a), shifted(b)
+    lead_b = max(B)
+    quo = {}
+    while rem:
+        lead = max(rem)
+        diff = tuple(x - y for x, y in zip(lead, lead_b))
+        if min(diff) < 0:
+            raise NotDivisibleError("leading term not divisible")
+        c = rem[lead] / B[lead_b]
+        quo[diff] = c
+        for v, cv in B.items():
+            add_term(rem, tuple(x + y for x, y in zip(v, diff)), -c * cv)
+    back = [x - y for x, y in zip(sa, sb)]
+    return symmetrize(LaurentElement(n, {tuple(x + y for x, y in zip(v, back)): c
+                                         for v, c in quo.items()}))
+
+
+class TestDivisionReference:
+    """divide_exact runs on integers with packed exponent keys; the Fraction
+    route above must give the same quotients term for term."""
+
+    @staticmethod
+    def outcome(divide, a, b):
+        try:
+            q = divide(a, b)
+        except NotDivisibleError:
+            return "not divisible"
+        return [(g, type(c), c) for g, c in q.terms.items()]
+
+    def test_matches_fraction_route(self):
+        rng = random.Random(53)
+
+        def rand_frac_sym(n):
+            return make_sym(n, [(tuple(rng.randint(-2, 2) for _ in range(n)),
+                                 Fraction(rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)),
+                                          rng.randint(1, 5)))
+                                for _ in range(rng.randint(1, 3))])
+
+        kinds = {"quotient": 0, "not divisible": 0}
+        pairs = 0
+        while pairs < 1500:
+            n = rng.randint(1, 4)
+            a, b = rand_frac_sym(n), rand_frac_sym(n)
+            if b.is_zero():
+                continue
+            pick = rng.random()
+            if pick < 0.5:
+                a = sym_mul(a, b)
+            elif pick < 0.75:
+                a = sym_mul(a, b) + rand_frac_sym(n)
+            want = self.outcome(divide_by_fraction_route, a, b)
+            assert self.outcome(divide_exact, a, b) == want, (a, b)
+            kinds["not divisible" if want == "not divisible" else "quotient"] += 1
+            pairs += 1
+        assert min(kinds.values()) > 400
+
+    def test_discriminant_quotients_match(self):
+        from loopsl2 import build_singular, theta
+        for chi in ((0, 1), (-1, 0, 2), (-2, 0, 1, 3), (2, 0, -1)):
+            sv = theta(build_singular(chi))
+            d = discriminant(len(chi))
+            assert self.outcome(divide_exact, sv, d) == \
+                self.outcome(divide_by_fraction_route, sv, d)
+
+    def test_divisor_of_higher_degree_raises_at_once(self):
+        # the divisor spans 41 exponents per variable and the dividend 40,
+        # so no quotient exponent fits the degree box
+        a = make_sym(4, [((40, 20, 0, 0), 1), ((0, 0, 0, 0), 3)])
+        b = make_sym(4, [((41, 0, 0, 0), 1), ((0, 0, 0, 0), 1)])
+        start = time.perf_counter()
+        with pytest.raises(NotDivisibleError, match="higher degree"):
+            divide_exact(a, b)
+        assert time.perf_counter() - start < 1
+
+    def test_quotient_exponent_above_the_box_raises(self):
+        # shifted to nonnegative exponents this is e_2 / e_1 in three
+        # variables: both have degree 1 in each variable, so the quotient
+        # must be a constant, but the first step asks for z_2
+        with pytest.raises(NotDivisibleError, match="degree box"):
+            divide_exact(make_sym(3, [((3, 3, 2), 1)]), make_sym(3, [((2, 1, 1), 1)]))
+        # without the upper bound a remainder exponent outgrows the packing
+        # base and carries into the digit of the variable before it; on this
+        # pair the division then ends with a non-symmetric "quotient"
+        with pytest.raises(NotDivisibleError):
+            divide_exact(make_sym(2, [((2, 0), 1), ((2, 1), 5), ((2, 2), 1)]),
+                         make_sym(2, [((2, 1), 1)]))
+
+    def test_integer_coefficient_not_divisible(self):
+        # (z + 1) / (2z + 1): the leading coefficient 1 is not a multiple of 2
+        with pytest.raises(NotDivisibleError):
+            divide_exact(make_sym(1, [((1,), 1), ((0,), 1)]),
+                         make_sym(1, [((1,), 2), ((0,), 1)]))
+
+    def test_content_and_denominators_restored(self):
+        # (6z + 12) / 3: the divisor's content goes back into the quotient
+        assert divide_exact(make_sym(1, [((1,), 6), ((0,), 12)]),
+                            make_sym(1, [((0,), 3)])).terms == {(1,): 2, (0,): 4}
+        # (2z/3 + 4/3) / (1/3): both denominators cleared and restored
+        q = divide_exact(make_sym(1, [((1,), Fraction(2, 3)), ((0,), Fraction(4, 3))]),
+                         make_sym(1, [((0,), Fraction(1, 3))]))
+        assert q.terms == {(1,): 2, (0,): 4}
+        assert all(type(c) is Fraction for c in q.terms.values())
