@@ -83,25 +83,75 @@ def oracle_equivalence_failures(max_word_len=4, idx_lo=-2, idx_hi=2,
     """Compare the closed action formulas with normal-ordering on every word
     up to the given length over every basis monomial in the window.
 
+    For a word w the normal-ordering route keeps state(w), the normal-ordered
+    word as a combination of normal words, and attaches it to the basis:
+    attach(state(w)) holds w . f_mono . v for every basis monomial.  The
+    closed route keeps images(w), the closed formulas applied letter by
+    letter.  Both routes are linear in the state, so images(w) =
+    attach(state(w)) follows for every word by induction on its length from
+
+    - the empty word: attach(unit) is the identity, and
+    - one identity per letter l and normal word v in the support of some
+      state of fewer than ``max_word_len`` letters (at least one, as in the
+      walk): act(l, attach(v)) = attach(push(l, v)).
+
+    Those words are found as the support closure of the empty word under
+    pushes, which may hold more words than the states do; an identity that
+    fails on such a word fails nothing in the walk, and costs only the walk
+    below.  When every identity holds, no word fails and the result is
+    ``[]``.  Otherwise ``_oracle_walk`` walks the word tree, sharing each
+    word's state and images along its left extensions, and returns the
+    first ``limit`` failing (word, monomial) pairs in its order.
+
     Both routes run on one ``OracleTables`` made for the call and dropped on
-    return; it interns normal words and monomials as ints and keys the
-    images of the whole basis by (monomial, basis index) in one map, so a
-    word is compared on every basis monomial at once.  A walk over the word
-    tree shares each word's state along its left extensions.  On the
-    normal-ordering route the state is the normal-ordered word: the new
-    letter is pushed onto it through memoized push rows, and the result is
-    attached to the basis through one memoized attach row per normal word.
-    On the closed route the state is the images of the basis: the letter's
-    closed formula is applied by merging one memoized row per (letter,
-    monomial).  Attach rows drop every word holding an h or e letter as
-    soon as it appears: such a letter never leaves a word under pushes from
-    the left (see loopmod), so the word is zero on the generator.  None of
-    this changes what is compared.
+    return; it interns normal words and monomials as ints, memoizes push,
+    attach and closed rows, and keys the images of the whole basis by
+    (monomial, basis index) in one map, so a word is compared on every
+    basis monomial at once.  Attach rows drop every word holding an h or e
+    letter as soon as it appears: such a letter never leaves a word under
+    pushes from the left (see loopmod), so the word is zero on the
+    generator.  The states themselves keep such words, since h and e do act
+    on f_mono . v.  None of this changes what is compared.
     """
     letters = [(kind, k) for kind in ("e", "h", "f") for k in range(idx_lo, idx_hi + 1)]
     basis = [m for layer in range(max_layer + 1)
              for m in combinations_with_replacement(range(exp_lo, exp_hi + 1), layer)]
-    return _oracle_walk(OracleTables(basis), letters, basis, max_word_len, limit)
+    tables = OracleTables(basis)
+    if _identities_hold(tables, letters, max(max_word_len, 1)):
+        return []
+    return _oracle_walk(tables, letters, basis, max_word_len, limit)
+
+
+def _reachable_words(tables, letters, depth) -> list:
+    """Ids of the normal words reachable from the empty word in fewer than
+    ``depth`` pushes of the letters, in the order they are first reached."""
+    frontier = [tables.intern(())]
+    words, seen = list(frontier), set(frontier)
+    for _ in range(depth - 1):
+        reached = []
+        for v in frontier:
+            for letter in letters:
+                for w in tables.push(*letter, {v: 1}):
+                    if w not in seen:
+                        seen.add(w)
+                        reached.append(w)
+        words += reached
+        frontier = reached
+    return words
+
+
+def _identities_hold(tables, letters, depth) -> bool:
+    """The depth-0 check and act(l, attach(v)) = attach(push(l, v)) for every
+    letter l and every normal word v reachable in fewer than depth pushes."""
+    if tables.attach({tables.intern(()): 1}) != tables.identity():
+        return False
+    for v in _reachable_words(tables, letters, depth):
+        state = {v: 1}
+        images = tables.attach(state)
+        for letter in letters:
+            if tables.attach(tables.push(*letter, state)) != tables.act(*letter, images):
+                return False
+    return True
 
 
 def _mismatches(tables, basis, word, proj, images) -> list:

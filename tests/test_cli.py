@@ -3,9 +3,10 @@ import time
 
 import pytest
 
-from loopsl2 import make_element, serialize as ser
+from loopsl2 import act_word, make_element, serialize as ser
+from loopsl2 import cli
 from loopsl2.cli import main, parse_word
-from loopsl2.cli import MAX_DEGREE_SPAN, CommandError
+from loopsl2.cli import MAX_ACT_TERMS, MAX_DEGREE_SPAN, CommandError
 
 
 def run(capsys, *argv):
@@ -99,6 +100,47 @@ class TestActCommand:
         assert time.monotonic() - start < 1
         assert code == 2
         assert "decimal exponent beyond the limit of 1000" in err
+
+    def test_term_blowup_exits_2_quickly(self, tmp_path, capsys):
+        # f letters raise the generator to layer 8, then each h with a fresh
+        # index multiplies the terms by 8: 8**8 terms if admitted
+        src = tmp_path / "el.json"
+        src.write_text(ser.dumps_element(make_element([((), 1)])))
+        word = " ".join([f"h:{3 ** i}" for i in range(1, 9)]
+                        + [f"f:{100 * i}" for i in range(1, 9)])
+        start = time.monotonic()
+        code, out, err = run(capsys, "act", "--in", str(src), "--word", word)
+        assert time.monotonic() - start < 1
+        assert (code, out) == (2, "")
+        assert f"at most {MAX_ACT_TERMS} are accepted" in err
+
+    @pytest.mark.parametrize("terms, word", [
+        # long but cheap: the h letters keep a handful of terms
+        ([((), 1)], " ".join(["h:1"] * 14 + ["f:0"] * 14)),
+        # benchmark-sized (layer <= 4, <= 12 terms, <= 6 letters, where
+        # 12*21*15*10 = 37,800 bounds the check): 28,490 at the last e
+        ([((100 * g, 100 * g + 10, 100 * g + 30, 100 * g + 70), g + 1) for g in range(12)],
+         "e:0 e:1 e:2 f:1000 f:2000 f:4000"),
+    ])
+    def test_admitted_words_answer(self, tmp_path, capsys, terms, word):
+        x = make_element(terms)
+        src = tmp_path / "el.json"
+        src.write_text(ser.dumps_element(x))
+        code, out, err = run(capsys, "act", "--in", str(src), "--word", word)
+        assert (code, err) == (0, "")
+        assert out == ser.dumps_element(act_word(parse_word(word), x))
+
+    def test_term_limit_is_inclusive(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_ACT_TERMS", 4)
+        src = tmp_path / "el.json"
+        src.write_text(ser.dumps_element(make_element([((0, 1), 1), ((2, 3), 1)])))
+        # 2 terms of layer 2 times fan-out 2: exactly at the limit
+        code, _, _ = run(capsys, "act", "--in", str(src), "--word", "h:1")
+        assert code == 0
+        # then 4 terms times 2 at the second letter
+        code, _, err = run(capsys, "act", "--in", str(src), "--word", "h:1 h:1")
+        assert code == 2
+        assert "could make 8 terms" in err
 
 
 class TestThetaCommand:
@@ -272,8 +314,27 @@ class TestVerifyCommand:
             main(["verify", "nosuch"])
         assert exc.value.code == 2
 
+    def test_actions_golden_output(self, capsys):
+        code, out, err = run(capsys, "verify", "actions")
+        assert (code, out, err) == (0, GOLDEN_VERIFY_ACTIONS, "")
+
     def test_span_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "span")
         assert code == 0
         assert "[ok] span/span-identity" in out
         assert "2/2 checks passed" in out
+
+
+# stdout of `verify actions`, pinned as literal text: the oracle sweep's
+# identity route and its walk fallback have to reproduce it byte for byte
+GOLDEN_VERIFY_ACTIONS = """\
+[ok] actions/oracle-equivalence: closed action formulas agree with enveloping-algebra normal ordering (words up to length 4, indices in [-2,2], layers up to 3)
+[ok] actions/bracket-ef: [e_k, f_l] acts as h_{k+l}
+[ok] actions/bracket-hf: [h_k, f_l] acts as -2 f_{k+l}
+[ok] actions/bracket-he: [h_k, e_l] acts as 2 e_{k+l}
+[ok] actions/layer-grading: f raises the layer, h preserves it, e lowers it; all shift the degree by their index
+[ok] actions/singular-h-closure: the Cartan currents preserve singularity
+[ok] actions/submodule-layering: a singular layer-n vector generates only layers >= n
+[ok] actions/certificate-soundness: a nonempty formal certificate pinpoints an index where the raising action is nonzero, and specializes to it exactly
+actions: 8/8 checks passed
+"""
