@@ -24,10 +24,10 @@ from .realization import (apply_sym, classify_hom, elem_sym_values, eval_eta,
                           graded_image_period, psi, theta, theta_inv,
                           tlaurent_monomial)
 from .singular import (Window, build_singular, elements_to_rows,
-                       signed_permutations, singular_space,
-                       theta_divisibility, verify_span_identity,
-                       window_monomials)
-from .symlaurent import discriminant, divide_exact, make_sym, sym_mul
+                       singular_space, theta_divisibility,
+                       verify_span_identity, window_monomials)
+from .symlaurent import (discriminant, divide_exact, make_sym,
+                         signed_permutations, sym_mul)
 
 SUITE_NAMES = ("actions", "realization", "singular", "span", "expmod")
 
@@ -92,8 +92,8 @@ def oracle_equivalence_failures(max_word_len=4, idx_lo=-2, idx_hi=2,
 
     - the empty word: attach(unit) is the identity, and
     - one identity per letter l and normal word v in the support of some
-      state of fewer than ``max_word_len`` letters (at least one, as in the
-      walk): act(l, attach(v)) = attach(push(l, v)).
+      state of fewer than ``max_word_len`` letters:
+      act(l, attach(v)) = attach(push(l, v)).
 
     Those words are found as the support closure of the empty word under
     pushes, which may hold more words than the states do; an identity that
@@ -117,7 +117,7 @@ def oracle_equivalence_failures(max_word_len=4, idx_lo=-2, idx_hi=2,
     basis = [m for layer in range(max_layer + 1)
              for m in combinations_with_replacement(range(exp_lo, exp_hi + 1), layer)]
     tables = OracleTables(basis)
-    if _identities_hold(tables, letters, max(max_word_len, 1)):
+    if _identities_hold(tables, letters, max_word_len):
         return []
     return _oracle_walk(tables, letters, basis, max_word_len, limit)
 
@@ -125,7 +125,7 @@ def oracle_equivalence_failures(max_word_len=4, idx_lo=-2, idx_hi=2,
 def _reachable_words(tables, letters, depth) -> list:
     """Ids of the normal words reachable from the empty word in fewer than
     ``depth`` pushes of the letters, in the order they are first reached."""
-    frontier = [tables.intern(())]
+    frontier = [tables.intern(())] if depth > 0 else []
     words, seen = list(frontier), set(frontier)
     for _ in range(depth - 1):
         reached = []
@@ -162,7 +162,7 @@ def _mismatches(tables, basis, word, proj, images) -> list:
 def _oracle_walk(tables, letters, basis, max_word_len, limit):
     unit, identity = {tables.intern(()): 1}, tables.identity()
     failures = _mismatches(tables, basis, (), tables.attach(unit), identity)
-    stack = [((), identity, unit, 0)]
+    stack = [((), identity, unit, 0)] if max_word_len > 0 else []
     while stack:
         word, images, state, depth = stack.pop()
         for letter in letters:
@@ -176,7 +176,7 @@ def _oracle_walk(tables, letters, basis, max_word_len, limit):
                     return failures[:limit]
             if depth + 1 < max_word_len:
                 stack.append((new_word, new_images, nxt, depth + 1))
-    return failures
+    return failures[:limit]
 
 
 def suite_actions() -> list:

@@ -26,8 +26,16 @@ USAGE_ERROR, VERIFY_ERROR = 2, 1
 # seconds and up to tens of MB of JSON, 11 entries would not finish.
 MAX_CHI_ENTRIES = 9
 
+# scan-conjecture draws the preimages of each degree from the window widened
+# by the slack on both sides, which holds C(hi - lo + 2*slack + n, n)
+# monomials over all degrees on the first try.  The 5-variable scan of
+# exponents [0, 5] with slack 7 has 42,504 of them; exponents [-1000, 1000]
+# in 2 variables would have about 2*10**6 and not finish.
+MAX_SCAN_MONOMIALS = 50_000
+
 # exp-dims writes one CSV row per degree: 10**6 degrees take about a second,
-# a range of 2*10**8 would not finish.
+# a range of 2*10**8 would not finish.  scan-conjecture keeps to the same
+# number of degrees.
 MAX_DEGREE_SPAN = 10**6
 
 # act applies its word one letter at a time; a letter multiplies the number
@@ -149,16 +157,43 @@ def cmd_verify(args) -> int:
     return VERIFY_ERROR if failed else 0
 
 
+def _binomial_exceeds(top: int, k: int, limit: int) -> bool:
+    """Whether C(top, k) > limit.  The partial products C(top - k + i, i)
+    grow with i, so the count stops at the first one above the limit."""
+    k = min(k, top - k)
+    count = 1
+    for i in range(1, k + 1):
+        count = count * (top - k + i) // i
+        if count > limit:
+            return True
+    return False
+
+
+def _check_degrees(dmin: int, dmax: int) -> None:
+    if dmin > dmax:
+        raise CommandError(f"empty degree range [{dmin}, {dmax}]")
+    span = dmax - dmin + 1
+    if span > MAX_DEGREE_SPAN:
+        raise CommandError(f"degree range [{dmin}, {dmax}] holds {span} degrees; "
+                           f"at most {MAX_DEGREE_SPAN} are accepted (one row per degree)")
+
+
 def cmd_scan(args) -> int:
     if args.lo > args.hi:
         raise CommandError(f"empty exponent range [{args.lo}, {args.hi}]")
-    if args.dmin > args.dmax:
-        raise CommandError(f"empty degree range [{args.dmin}, {args.dmax}]")
+    _check_degrees(args.dmin, args.dmax)
     if args.n < 1:
         raise CommandError("layer must be positive")
+    if args.n > MAX_CHI_ENTRIES:
+        raise CommandError(f"--n {args.n} is above {MAX_CHI_ENTRIES} (the discriminant "
+                           "has one term per permutation)")
     slack = args.n if args.slack is None else args.slack
     if slack < 0:
         raise CommandError("slack must be nonnegative")
+    if _binomial_exceeds(args.hi - args.lo + 2 * slack + args.n, args.n, MAX_SCAN_MONOMIALS):
+        raise CommandError(f"the preimage window of exponents [{args.lo - slack}, "
+                           f"{args.hi + slack}] in {args.n} variables holds more than "
+                           f"{MAX_SCAN_MONOMIALS} monomials")
     rows = conjecture_scan(args.n, args.dmin, args.dmax, args.lo, args.hi, slack)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -173,12 +208,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_dims(args) -> int:
-    if args.dmin > args.dmax:
-        raise CommandError(f"empty degree range [{args.dmin}, {args.dmax}]")
-    span = args.dmax - args.dmin + 1
-    if span > MAX_DEGREE_SPAN:
-        raise CommandError(f"degree range [{args.dmin}, {args.dmax}] holds {span} degrees; "
-                           f"at most {MAX_DEGREE_SPAN} are accepted (one row per degree)")
+    _check_degrees(args.dmin, args.dmax)
     roots = _parse_fractions(args.roots, "roots")
     try:
         phi = ExpFunction(roots)

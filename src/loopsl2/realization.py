@@ -7,10 +7,10 @@ Laurent polynomials, and the classification of one-dimensional quotients.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, prod
+from math import gcd, prod
 
 from .loopmod import ModuleElement, homogeneous_layer
-from .symlaurent import SymElement, orbit, power_sum, sym_mul, sym_one
+from .symlaurent import SymElement, expand, power_sum, sym_mul, sym_one
 from .terms import Terms, add_term, integer_scaled
 
 
@@ -96,14 +96,9 @@ def eval_eta(alphas, p: SymElement) -> TLaurent:
         raise ValueError(f"need {p.n} scalars, got {len(alphas)}")
     if any(a == 0 for a in alphas):
         raise ValueError("evaluation scalars must be nonzero")
-    n = p.n
-    inv = Fraction(1, factorial(n))
     out = {}
-    for g, c in p.terms.items():
-        perms, count = orbit(g)
-        total = count * sum(prod(alphas[i] ** perm[i] for i in range(n))
-                            for perm in perms)
-        add_term(out, sum(g), c * inv * total)
+    for u, c in expand(p).terms.items():
+        add_term(out, sum(u), c * prod(map(pow, alphas, u)))
     return TLaurent(out)
 
 

@@ -9,26 +9,14 @@ its output; the module components themselves are infinite-dimensional.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement
 
 from . import linalg
 from .loopmod import (ModuleElement, formal_e, is_singular, make_element,
                       monomial)
 from .realization import apply_sym, theta
-from .symlaurent import SymElement, discriminant, divide_exact, lambda_poly
-
-def signed_permutations(n: int):
-    """Each permutation of range(n), in lexicographic order, with its sign.
-
-    In that order the first entry i of a permutation makes i inversions and
-    the rest run through the permutations of the remaining entries in
-    lexicographic order again, so the signs follow without inspecting the
-    permutations themselves.
-    """
-    signs = [1]
-    for m in range(2, n + 1):
-        signs = [-s if i % 2 else s for i in range(m) for s in signs]
-    return zip(permutations(range(n)), signs)
+from .symlaurent import (SymElement, discriminant, divide_exact, lambda_poly,
+                         signed_permutations)
 
 
 def build_singular(chi) -> ModuleElement:
@@ -210,14 +198,13 @@ def conjecture_scan(n: int, dmin: int, dmax: int, lo: int, hi: int,
             continue
         sing = singular_space(w)
         sing_rows = elements_to_rows(sing, monos)
-        sing_rank = linalg.rank(sing_rows)
         used = slack
         while True:
             image = discriminant_image_space(w, used)
-            img_rows = elements_to_rows(image, monos)
-            # a span contains the other when stacking adds nothing to its rank
-            both = linalg.rank(sing_rows + img_rows)
-            forward = both == sing_rank
+            # a span contains the other when stacking adds nothing to its
+            # rank; both lists are bases, so their ranks are their lengths
+            both = linalg.rank(sing_rows + elements_to_rows(image, monos))
+            forward = both == len(sing)
             if not forward:
                 raise AssertionError(
                     f"discriminant image escaped the singular space at n={n}, d={d}; "
@@ -226,7 +213,7 @@ def conjecture_scan(n: int, dmin: int, dmax: int, lo: int, hi: int,
                 if not is_singular(el):
                     raise AssertionError(
                         f"non-singular vector in the discriminant image at n={n}, d={d}")
-            reverse = both == linalg.rank(img_rows)
+            reverse = both == len(image)
             if reverse or used >= slack + max_extra_slack:
                 break
             used += 1

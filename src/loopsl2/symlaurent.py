@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import permutations
 from math import comb, factorial, gcd
@@ -92,6 +91,20 @@ def orbit(g) -> tuple:
         count *= factorial(c)
     perms = permutations(g)
     return list(perms if count == 1 else dict.fromkeys(perms)), count
+
+
+def signed_permutations(n: int):
+    """Each permutation of range(n), in lexicographic order, with its sign.
+
+    In that order the first entry i of a permutation makes i inversions and
+    the rest run through the permutations of the remaining entries in
+    lexicographic order again, so the signs follow without inspecting the
+    permutations themselves.
+    """
+    signs = [1]
+    for m in range(2, n + 1):
+        signs = [-s if i % 2 else s for i in range(m) for s in signs]
+    return zip(permutations(range(n)), signs)
 
 
 def sym_mul(a: SymElement, b: SymElement) -> SymElement:
@@ -211,29 +224,29 @@ def symmetrize(p: LaurentElement) -> SymElement:
     return SymElement(n, out)
 
 
-@lru_cache(maxsize=None)
 def discriminant(n: int) -> SymElement:
-    """Product over i<j of (z_i - z_j)^2; the empty product for n = 1."""
+    """Product over i<j of (z_i - z_j)^2; the empty product for n = 1.
+
+    That is the squared alternant a = sum_s sgn(s) z^{s(delta)}, with
+    delta = (0, 1, ..., n-1).  Grouping a * a by the relative permutation
+    rho of its two factors gives n! * sum_rho sgn(rho) m_{delta + rho(delta)}.
+    """
     if n < 1:
         raise ValueError("need at least one variable")
-    prod = LaurentElement(n, {(0,) * n: 1})
-    for i in range(n):
-        for j in range(i + 1, n):
-            ei = tuple(1 if t == i else 0 for t in range(n))
-            ej = tuple(1 if t == j else 0 for t in range(n))
-            diff = LaurentElement(n, {ei: 1, ej: -1})
-            prod = laurent_mul(prod, laurent_mul(diff, diff))
-    return symmetrize(prod)
+    out = {}
+    for perm, sign in signed_permutations(n):
+        add_term(out, tuple(sorted(map(add, range(n), perm), reverse=True)), sign)
+    return SymElement(n, {g: factorial(n) * c for g, c in out.items()})
 
 
-@lru_cache(maxsize=None)
 def lambda_poly(n: int) -> SymElement:
-    """The discriminant times the square of every variable.
+    """The discriminant times m_{(2,...,2)}, the square of every variable: a
+    unit whose orbit has one element, so every index entry grows by 2.
 
     Equals the square of the alternating sum over permutations of
     z_1^{s(1)} ... z_n^{s(n)}, with no sign ambiguity left.
     """
-    return sym_mul(SymElement(n, {(2,) * n: 1}), discriminant(n))
+    return SymElement(n, {tuple(x + 2 for x in g): c for g, c in discriminant(n).terms.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ import pytest
 from loopsl2 import act_word, make_element, serialize as ser
 from loopsl2 import cli
 from loopsl2.cli import main, parse_word
-from loopsl2.cli import MAX_ACT_TERMS, MAX_DEGREE_SPAN, CommandError
+from loopsl2.cli import (MAX_ACT_TERMS, MAX_DEGREE_SPAN, MAX_SCAN_MONOMIALS,
+                         CommandError)
 
 
 def run(capsys, *argv):
@@ -199,6 +200,37 @@ class TestScanCommand:
         _, second, _ = run(capsys, *args)
         assert first == second
 
+    @pytest.mark.parametrize("args, message", [
+        (("--n", "2", "--lo", "-1000", "--hi", "1000"),
+         f"more than {MAX_SCAN_MONOMIALS} monomials"),
+        (("--n", "1000000", "--lo", "0", "--hi", "0"), "is above 9"),
+        (("--n", "1000000", "--lo", "0", "--hi", "0", "--slack", "0"), "is above 9"),
+        (("--n", "3", "--lo", "0", "--hi", "1", "--slack", str(10**9)), "monomials"),
+        (("--n", "9", "--lo", "0", "--hi", "1"), "monomials"),
+        (("--n", "2", "--lo", "0", "--hi", "1", "--dmin", str(-10**9),
+          "--dmax", str(10**9)), f"at most {MAX_DEGREE_SPAN} are accepted"),
+    ], ids=["wide-exponents", "huge-n", "huge-n-no-slack", "huge-slack",
+            "n9-default-slack", "wide-degrees"])
+    def test_hostile_limits_exit_2_quickly(self, capsys, args, message):
+        if "--dmin" not in args:
+            args += ("--dmin", "0", "--dmax", "4")
+        start = time.monotonic()
+        code, out, err = run(capsys, "scan-conjecture", *args)
+        assert time.monotonic() - start < 1
+        assert (code, out) == (2, "")
+        assert message in err
+
+    def test_monomial_limit_is_inclusive(self, capsys, monkeypatch):
+        # exponents [-5, 9] in 3 variables: C(17, 3) = 680 monomials
+        monkeypatch.setattr(cli, "conjecture_scan", lambda *a: [])
+        args = ("scan-conjecture", "--n", "3", "--dmin", "0", "--dmax", "12",
+                "--lo", "-2", "--hi", "6")
+        monkeypatch.setattr(cli, "MAX_SCAN_MONOMIALS", 680)
+        assert run(capsys, *args)[0] == 0
+        monkeypatch.setattr(cli, "MAX_SCAN_MONOMIALS", 679)
+        code, _, err = run(capsys, *args)
+        assert code == 2 and "[-5, 9] in 3 variables holds more than 679" in err
+
 
 # stdout of scan-conjecture, pinned as literal text: any rewrite of the
 # scan has to reproduce it byte for byte
@@ -248,6 +280,21 @@ n,d,dim_singular,dim_disc_image,forward_contained,reverse_contained,slack
 def test_scan_golden_stdout(capsys, args, expected):
     code, out, err = run(capsys, "scan-conjecture", *args)
     assert (code, out, err) == (0, expected, "")
+
+
+@pytest.mark.parametrize("args", [args for args, _ in GOLDEN_SCANS] + [
+    ("--n", "5", "--dmin", "10", "--dmax", "20", "--lo", "0", "--hi", "5"),
+    ("--n", "5", "--dmin", "10", "--dmax", "20", "--lo", "0", "--hi", "5",
+     "--slack", "7"),
+    ("--n", "2", "--dmin", "1", "--dmax", str(MAX_DEGREE_SPAN), "--lo", "0", "--hi", "1"),
+])
+def test_admitted_scans_reach_the_scan(capsys, monkeypatch, args):
+    """The golden scans, the 5-variable scans of exponents [0, 5] and the
+    widest degree range pass the limits."""
+    calls = []
+    monkeypatch.setattr(cli, "conjecture_scan", lambda *a: calls.append(a) or [])
+    code, _, err = run(capsys, "scan-conjecture", *args)
+    assert (code, err, len(calls)) == (0, "", 1)
 
 
 class TestDimsCommand:

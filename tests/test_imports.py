@@ -3,9 +3,10 @@
 Every imported name must be used in its module (the package __init__ only
 re-exports, so it is exempt from that part), and no module may reach into
 another module's private names, neither by importing them nor through a
-module alias.  Every top-level function and class of the library must be
-referred to somewhere in src, tests or perfbench outside its own
-definition.
+module alias.  No function may be memoized by a ``functools`` cache
+decorator, which would keep process-wide state shared by every caller.
+Every top-level function and class of the library must be referred to
+somewhere in src, tests or perfbench outside its own definition.
 """
 
 import ast
@@ -16,6 +17,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "loopsl2"
 MODULES = sorted(SRC.glob("*.py"))
+CACHE_DECORATORS = ("lru_cache", "cache")
 
 
 def _private(name: str) -> bool:
@@ -53,6 +55,12 @@ def scan(source: str, check_unused: bool = True) -> list:
                                         f"{alias.name} from {node.module}")
     used = set()
     for node in ast.walk(tree):
+        for deco in getattr(node, "decorator_list", ()):
+            target = deco.func if isinstance(deco, ast.Call) else deco
+            name = getattr(target, "id", getattr(target, "attr", None))
+            if name in CACHE_DECORATORS:
+                problems.append(f"line {deco.lineno}: {name} keeps a process-wide "
+                                f"cache on {node.name}")
         if isinstance(node, ast.Name):
             used.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
@@ -81,6 +89,12 @@ def test_module_imports(path):
      ["line 2: reaches into lm._push"]),
     ("from . import loopmod as lm\nlm.act_e\nlm.__name__\n", []),
     ("from __future__ import annotations\nfrom .terms import Terms\nx: Terms\n", []),
+    ("from functools import lru_cache\n@lru_cache(maxsize=None)\ndef f(n): pass\n",
+     ["line 2: lru_cache keeps a process-wide cache on f"]),
+    ("import functools\n@functools.cache\ndef f(n): pass\n",
+     ["line 2: cache keeps a process-wide cache on f"]),
+    ("from functools import cache\nclass C:\n    @cache\n    def f(self): pass\n",
+     ["line 3: cache keeps a process-wide cache on f"]),
 ])
 def test_scan_finds_each_kind(source, expected):
     assert scan(source) == expected

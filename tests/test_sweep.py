@@ -13,8 +13,8 @@ from loopsl2.checks import oracle_equivalence_failures
 
 SMALL = dict(max_word_len=2, idx_lo=-1, idx_hi=1, max_layer=2, exp_lo=0, exp_hi=1)
 
-# windows for the route comparison: no letters beyond the first, one
-# letter, SMALL, and a deeper walk with negative exponents
+# windows for the route comparison: the empty word alone, one letter,
+# SMALL, and a deeper walk with negative exponents
 WINDOWS = [
     dict(max_word_len=0, idx_lo=-1, idx_hi=1, max_layer=2, exp_lo=0, exp_hi=1),
     dict(max_word_len=1, idx_lo=0, idx_hi=0, max_layer=1, exp_lo=0, exp_hi=0),
@@ -122,6 +122,28 @@ def test_closure_holds_every_walk_state(window):
                 stack.append((nxt, depth + 1))
     assert supports <= closure
     assert max(len(tables.words[w]) for w in supports) == max_word_len - 1
+
+
+ONE_INDEX = dict(idx_lo=0, idx_hi=0, max_layer=2, exp_lo=0, exp_hi=0)
+
+
+def test_word_length_zero_checks_the_empty_word_only(monkeypatch):
+    """A broken bracket first shows on a one-letter word, which length 0
+    leaves out and length 1 reaches; a broken depth-0 image shows at 0."""
+    monkeypatch.setitem(lm._BRACKET, (2, 0), (2, 1))
+    assert oracle_equivalence_failures(max_word_len=0, **ONE_INDEX) == []
+    assert oracle_equivalence_failures(max_word_len=1, **ONE_INDEX) == \
+        [((("e", 0),), (0, 0))]
+    monkeypatch.undo()
+    monkeypatch.setattr(lm.OracleTables, "identity", identity_missing_last)
+    assert oracle_equivalence_failures(max_word_len=0, **ONE_INDEX) == [((), (0, 0))]
+
+
+def test_no_reachable_words_at_length_zero():
+    letters, basis = window_letters_basis(max_word_len=0, **ONE_INDEX)
+    tables = lm.OracleTables(basis)
+    assert checks._reachable_words(tables, letters, 0) == []
+    assert checks._reachable_words(tables, letters, 1) == [tables.intern(())]
 
 
 def test_tampered_closed_action_is_caught(monkeypatch):

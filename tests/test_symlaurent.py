@@ -230,15 +230,17 @@ class TestDiscriminant:
         assert discriminant(2) == make_sym(2, [((2, 0), 2), ((1, 1), -2)])
 
     def test_three_variables_against_expansion(self):
-        n = 3
-        prod = LaurentElement(n, {(0,) * n: 1})
-        for i in range(n):
-            for j in range(i + 1, n):
-                ei = tuple(1 if t == i else 0 for t in range(n))
-                ej = tuple(1 if t == j else 0 for t in range(n))
-                diff = LaurentElement(n, {ei: 1, ej: -1})
-                prod = laurent_mul(prod, laurent_mul(diff, diff))
-        assert expand(discriminant(3)) == prod
+        """The product of the (z_i - z_j)^2 multiplied out as Laurent
+        polynomials, for one to five variables."""
+        for n in range(1, 6):
+            prod = LaurentElement(n, {(0,) * n: 1})
+            for i in range(n):
+                for j in range(i + 1, n):
+                    ei = tuple(1 if t == i else 0 for t in range(n))
+                    ej = tuple(1 if t == j else 0 for t in range(n))
+                    diff = LaurentElement(n, {ei: 1, ej: -1})
+                    prod = laurent_mul(prod, laurent_mul(diff, diff))
+            assert expand(discriminant(n)) == prod
 
     def test_degree(self):
         for n in (2, 3, 4):
@@ -251,6 +253,23 @@ class TestDiscriminant:
                 for j in range(i + 1, n):
                     assert laurent_substitute_equal(p, i, j).is_zero()
 
+    def test_no_variables_rejected(self):
+        for n in (0, -1):
+            with pytest.raises(ValueError):
+                discriminant(n)
+            with pytest.raises(ValueError):
+                lambda_poly(n)
+
+    @pytest.mark.parametrize("build", [discriminant, lambda_poly])
+    def test_returned_terms_are_not_shared(self, build):
+        """Each call builds a new element: altering the terms of one result
+        leaves the next call's value as it was."""
+        first = build(3)
+        expected = dict(first.terms)
+        first.terms[next(iter(first.terms))] = 99
+        first.terms[(9, 9, 9)] = 1
+        assert build(3).terms == expected
+
 
 class TestLambdaPoly:
     def test_two_variables(self):
@@ -261,7 +280,7 @@ class TestLambdaPoly:
 
     def test_equals_squared_alternant(self):
         from itertools import permutations
-        for n in (1, 2, 3, 4):
+        for n in range(1, 6):
             phi = LaurentElement(n)
             for perm in permutations(range(1, n + 1)):
                 sign = 1

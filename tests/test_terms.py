@@ -12,8 +12,7 @@ import pytest
 from loopsl2 import (FormalEElement, InducedElement, LaurentElement,
                      ModuleElement, SymElement, TLaurent, apply_sym,
                      make_element, make_sym, sym_mul)
-from loopsl2.singular import signed_permutations
-from loopsl2.symlaurent import orbit
+from loopsl2.symlaurent import orbit, signed_permutations
 from loopsl2.terms import add_term
 
 # (kind, constructor from a terms dict, two distinct basis keys)
